@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,27 +24,21 @@ from .errors import (
     JointRadiusError,
     ZeroRadius,
 )
-from .optuples import OperatorTuple, tuple_from_json
+from .optuples import OperatorTuple, _entry_to_json, tuple_from_json
 from .oracle import audit, sampled_radius
 from .orth import TupleSubspace, orth_scalar, orth_subspace
-from .radius import DEFAULT_STARTS, radius_exact, radius_smooth
-from .spaces import (
-    COMPLEX,
-    UNBOUNDED,
-    SpaceDescriptor,
-    extreme_points,
-    space_from_json,
-)
+from .radius import DEFAULT_STARTS, radius
+from .spaces import UNBOUNDED, SpaceDescriptor, extreme_points, space_from_json
 from .subdiff import gateaux_one_sided, generators, smoothness
 
 MATH_ERRORS = (ZeroRadius, DependentDirection, EmptyBasis, InvalidCertificate)
 
 
+@dataclass(frozen=True)
 class ProblemFile:
-    def __init__(self, space: SpaceDescriptor, tup: OperatorTuple, raw: dict):
-        self.space = space
-        self.tuple = tup
-        self.raw = raw
+    space: SpaceDescriptor
+    tuple: OperatorTuple
+    raw: dict
 
 
 def _load_json(path: str) -> dict:
@@ -67,73 +62,57 @@ def parse(path: str, p_override: float | None = None) -> ProblemFile:
     return ProblemFile(space, tup, raw)
 
 
-def _aux_tuple(problem: ProblemFile, section: str, flag_path: str | None) -> OperatorTuple:
-    obj = None
+def _section(problem: ProblemFile, section: str, flag_path: str | None):
+    """JSON of an auxiliary section: the --<section> file, else the problem
+    file's section, given inline or as a path to another JSON file.
+
+    A --direction or --against file may also be a problem file that holds
+    the tuple under the section name.
+    """
     if flag_path is not None:
-        loaded = _load_json(flag_path)
-        obj = loaded.get(section, loaded) if isinstance(loaded, dict) else loaded
-    elif section in problem.raw:
-        ref = problem.raw[section]
-        obj = _load_json(ref) if isinstance(ref, str) else ref
+        obj = _load_json(flag_path)
+        if section != "subspace" and isinstance(obj, dict):
+            obj = obj.get(section, obj)
+    else:
+        obj = problem.raw.get(section)
+        if isinstance(obj, str):
+            obj = _load_json(obj)
     if obj is None:
-        raise JointRadiusError(f"command needs a '{section}' section or the matching flag")
+        raise JointRadiusError(f"command needs a '{section}' section or --{section}")
+    return obj
+
+
+def _aux_tuple(problem: ProblemFile, section: str, flag_path: str | None) -> OperatorTuple:
+    obj = _section(problem, section, flag_path)
     S = tuple_from_json(obj, field=problem.space.field, default_p=problem.tuple.p)
     if (S.d, S.n, S.p) != (problem.tuple.d, problem.tuple.n, problem.tuple.p):
         raise JointRadiusError(f"'{section}' tuple does not match the problem tuple shape")
     return S
 
 
-def _aux_subspace(problem: ProblemFile, flag_path: str | None) -> TupleSubspace:
-    obj = None
-    if flag_path is not None:
-        obj = _load_json(flag_path)
-    elif "subspace" in problem.raw:
-        ref = problem.raw["subspace"]
-        obj = _load_json(ref) if isinstance(ref, str) else ref
-    if obj is None:
-        raise JointRadiusError("command needs a 'subspace' section or --subspace")
-    items = obj["basis"] if isinstance(obj, dict) else obj
-    basis = tuple(
-        tuple_from_json(it, field=problem.space.field, default_p=problem.tuple.p)
-        for it in items
-    )
-    return TupleSubspace(basis)
-
-
-def _scalar_json(v, field: str):
-    if field == COMPLEX:
-        return [float(np.real(v)), float(np.imag(v))]
-    return float(np.real(v))
-
-
 def _vector_json(v, field: str):
-    return [_scalar_json(c, field) for c in np.asarray(v)]
+    return [_entry_to_json(c, field) for c in np.asarray(v)]
+
+
+def _pair_json(pair, field: str) -> dict:
+    return {"x": _vector_json(pair.x, field), "x_star": _vector_json(pair.x_star, field)}
+
+
+def _generator_json(gen, field: str) -> dict:
+    return {**_pair_json(gen.pair, field), "alpha": _vector_json(gen.alpha.alpha, field)}
 
 
 def _orbits_json(rr, field):
     return [
-        {
-            "x": _vector_json(o.representative.x, field),
-            "x_star": _vector_json(o.representative.x_star, field),
-            "value": float(o.value),
-        }
+        {**_pair_json(o.representative, field), "value": float(o.value)}
         for o in rr.attaining.orbits
     ]
 
 
-def _compute_radius(problem: ProblemFile, args):
-    if problem.space.is_smooth_lp:
-        return radius_smooth(
-            problem.tuple,
-            problem.space,
-            starts=args.starts,
-            seed=args.seed,
-            attain_tol=args.tol if args.tol is not None else 1e-8,
-        )
-    return radius_exact(
-        problem.tuple,
-        problem.space,
-        attain_tol=args.tol if args.tol is not None else 1e-12,
+def _radius(problem: ProblemFile, args):
+    """radius() with the multi-start and attaining-tolerance flags."""
+    return radius(
+        problem.tuple, problem.space, starts=args.starts, seed=args.seed, attain_tol=args.tol
     )
 
 
@@ -157,7 +136,7 @@ def _emit(obj, pretty: bool) -> None:
 
 
 def _cmd_radius(problem, args):
-    rr = _compute_radius(problem, args)
+    rr = _radius(problem, args)
     return {
         "value": float(rr.value),
         "method": rr.method,
@@ -168,26 +147,18 @@ def _cmd_radius(problem, args):
 
 
 def _cmd_subdiff(problem, args):
-    rr = _compute_radius(problem, args)
+    rr = _radius(problem, args)
     gens = generators(problem.tuple, problem.space, rr)
-    fld = problem.space.field
     return {
         "value": float(rr.value),
         "exhaustive": rr.exhaustive,
-        "generators": [
-            {
-                "x": _vector_json(g.pair.x, fld),
-                "x_star": _vector_json(g.pair.x_star, fld),
-                "alpha": _vector_json(g.alpha.alpha, fld),
-            }
-            for g in gens
-        ],
+        "generators": [_generator_json(g, problem.space.field) for g in gens],
     }
 
 
 def _cmd_gateaux(problem, args):
     S = _aux_tuple(problem, "direction", args.direction)
-    rr = _compute_radius(problem, args)
+    rr = _radius(problem, args)
     rep = gateaux_one_sided(problem.tuple, S, problem.space, rr)
     return {
         "g_plus": rep.g_plus,
@@ -198,24 +169,21 @@ def _cmd_gateaux(problem, args):
 
 
 def _cmd_smooth(problem, args):
-    rr = _compute_radius(problem, args)
+    rr = _radius(problem, args)
     rep = smoothness(problem.tuple, problem.space, rr)
     out = {"smooth": rep.verdict, "exhaustive": rep.exhaustive}
     if rep.generator is not None:
-        fld = problem.space.field
-        out["derivative_basis"] = {
-            "x": _vector_json(rep.generator.pair.x, fld),
-            "x_star": _vector_json(rep.generator.pair.x_star, fld),
-            "alpha": _vector_json(rep.generator.alpha.alpha, fld),
-        }
+        out["derivative_basis"] = _generator_json(rep.generator, problem.space.field)
     return out
 
 
 def _cmd_orth(problem, args):
-    rr = _compute_radius(problem, args)
+    rr = _radius(problem, args)
     if args.subspace is not None or "subspace" in problem.raw:
-        V = _aux_subspace(problem, args.subspace)
-        res = orth_subspace(problem.tuple, V, problem.space, rr)
+        obj = _section(problem, "subspace", args.subspace)
+        items = obj["basis"] if isinstance(obj, dict) else obj
+        basis = tuple(tuple_from_json(it, problem.space.field, problem.tuple.p) for it in items)
+        res = orth_subspace(problem.tuple, TupleSubspace(basis), problem.space, rr)
     else:
         S = _aux_tuple(problem, "against", args.against)
         res = orth_scalar(problem.tuple, S, problem.space, rr)
@@ -245,9 +213,9 @@ def _cmd_extremes(problem, args):
 
 
 def _cmd_verify(problem, args):
-    rr = _compute_radius(problem, args)
+    rr = _radius(problem, args)
     gens = generators(problem.tuple, problem.space, rr) if rr.value > 0 and not rr.degenerate else []
-    report = audit(problem.tuple, problem.space, rr, gens, seed=args.seed)
+    report = audit(problem.tuple, problem.space, rr, gens, seed=args.seed, starts=args.starts)
     sr = sampled_radius(problem.tuple, problem.space, samples=args.samples, seed=args.seed)
     rows = [
         {"name": c.name, "status": c.status, "measured": c.measured, "bound": c.bound}
@@ -301,14 +269,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         problem = parse(args.input, p_override=args.p)
-        out = COMMANDS[args.command](problem, args)
+        _emit(COMMANDS[args.command](problem, args), args.pretty)
     except MATH_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (JointRadiusError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(out, args.pretty)
     return 0
 
 

@@ -35,6 +35,8 @@ class OperatorTuple:
                     raise InvalidDescriptor("complex entries in a real-field tuple")
         dtype = complex if self.field == COMPLEX else float
         mats = tuple(M.real.astype(float) if dtype is float else M.astype(complex) for M in raw)
+        if not all(np.all(np.isfinite(M)) for M in mats):
+            raise InvalidDescriptor("matrix entries must be finite")
         n = mats[0].shape[0]
         for M in mats:
             if M.shape != (n, n):
@@ -98,6 +100,15 @@ def pair_image(T: OperatorTuple, pair: NormingPair) -> np.ndarray:
 def aggregate(T: OperatorTuple, pair: NormingPair) -> float:
     """l_p norm of the pair image; the radius objective at one pair."""
     return float(np.linalg.norm(pair_image(T, pair), ord=T.p))
+
+
+def power_weights(T: OperatorTuple, S: OperatorTuple, pair: NormingPair) -> np.ndarray:
+    """Vector in F^d: entry i is conj(z_i)|z_i|^(p-2) x*(S_i x), z = pair_image(T, pair).
+
+    The real part of its sum is the derivative term of the radius toward S
+    at an attaining pair; its entries are the orthogonality constraint row.
+    """
+    return _signed_power(pair_image(T, pair), T.p - 2.0) * pair_image(S, pair)
 
 
 def subdiff_coefficients(

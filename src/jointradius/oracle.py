@@ -208,6 +208,7 @@ def audit(
     gens,
     seed: int = 0,
     trials: int = 20,
+    starts: int = DEFAULT_STARTS,
 ) -> VerifyReport:
     """Run the invariant battery and report per-check results."""
     rng = np.random.default_rng(seed)
@@ -236,7 +237,7 @@ def audit(
         worst_attain = max(worst_attain, abs(np.real(gen_apply(gen, T)) - rr.value))
         for _ in range(trials):
             S = random_tuple(T.d, T.n, T.field, T.p, rng)
-            wS = radius(S, space, seed=seed).value
+            wS = radius(S, space, starts=starts, seed=seed).value
             fS = gen_apply(gen, S)
             worst_bound = max(worst_bound, abs(fS) - wS)
             worst_support = max(

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DependentDirection, EmptyBasis, InvalidCertificate, ZeroRadius
+from .errors import DependentDirection, EmptyBasis, InvalidCertificate
 from .lp import HullProblem, hull_membership
-from .optuples import OperatorTuple, pair_image
-from .radius import RadiusResult
+from .optuples import OperatorTuple, power_weights
+from .radius import RadiusResult, _require_positive
 from .spaces import COMPLEX, NormingPair, SpaceDescriptor
 
 LP_TOL = 1e-9
@@ -47,11 +47,6 @@ class TupleSubspace:
         first = self.basis[0]
         for S in self.basis[1:]:
             first._check_compatible(S)
-
-
-def _require_positive(rr: RadiusResult) -> None:
-    if rr.value <= 0 or rr.degenerate:
-        raise ZeroRadius("orthogonality requires a positive joint radius")
 
 
 def _vectorize(T: OperatorTuple) -> np.ndarray:
@@ -86,21 +81,8 @@ def _orbit_pairs(rr: RadiusResult):
     return [orb.representative for orb in rr.attaining.orbits]
 
 
-def _constraint_row_scalar(T: OperatorTuple, S: OperatorTuple, pair: NormingPair) -> np.ndarray:
-    """Vector in F^d: component i is conj(z_i)|z_i|^(p-2) x*(S_i x)."""
-    zT = pair_image(T, pair)
-    zS = pair_image(S, pair)
-    a = np.abs(zT)
-    coeff = np.zeros_like(zT)
-    nz = a > 0
-    coeff[nz] = np.conj(zT[nz]) * a[nz] ** (T.p - 2.0)
-    return coeff * zS
-
-
 def _constraint_row_subspace(T: OperatorTuple, V: TupleSubspace, pair: NormingPair) -> np.ndarray:
-    return np.array(
-        [np.sum(_constraint_row_scalar(T, S, pair)) for S in V.basis]
-    )
+    return np.array([np.sum(power_weights(T, S, pair)) for S in V.basis])
 
 
 def _realify(rows: list[np.ndarray], field: str) -> np.ndarray:
@@ -141,7 +123,7 @@ def orth_scalar(
     _require_positive(rr)
     T._check_compatible(S)
     _check_scalar_independent(T, S)
-    rows = [_constraint_row_scalar(T, S, pr) for pr in _orbit_pairs(rr)]
+    rows = [power_weights(T, S, pr) for pr in _orbit_pairs(rr)]
     ref = rr.value ** (T.p - 1.0) * S.max_entry()
     return _decide(rows, space.field, rr, ref)
 
@@ -179,6 +161,6 @@ def verify_certificate(
         if isinstance(direction, TupleSubspace):
             row = _constraint_row_subspace(T, direction, pairs[j])
         else:
-            row = _constraint_row_scalar(T, direction, pairs[j])
+            row = power_weights(T, direction, pairs[j])
         acc = t * row if acc is None else acc + t * row
     return float(np.max(np.abs(acc)))

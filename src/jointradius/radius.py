@@ -10,18 +10,17 @@ gradient ascent on the unit sphere with backtracking line search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Unsupported
-from .optuples import OperatorTuple, aggregate, pair_image
+from .errors import Unsupported, ZeroRadius
+from .optuples import OperatorTuple, aggregate
 from .spaces import (
     COMPLEX,
-    REAL,
-    LpNorm,
     NormingPair,
     SpaceDescriptor,
+    _gaussian,
     _signed_power,
     admissible_pairs,
     norm_eval,
@@ -63,6 +62,11 @@ class RadiusResult:
     @property
     def exhaustive(self) -> bool:
         return self.attaining.exhaustive
+
+
+def _require_positive(rr: RadiusResult) -> None:
+    if rr.value <= 0 or rr.degenerate:
+        raise ZeroRadius("operation requires a positive joint radius")
 
 
 def orbit_dedup(pairs, field: str, tol: float = ORBIT_TOL):
@@ -154,8 +158,7 @@ def _gradient(T: OperatorTuple, r: float, x: np.ndarray):
     p = T.p
     a = np.abs(x)
     nz = a > 0
-    s = np.zeros_like(x)
-    s[nz] = np.conj(x[nz]) * a[nz] ** (r - 2.0)  # functional coefficients
+    s = _signed_power(x, r - 2.0)  # functional coefficients
     pw2 = np.zeros_like(x)  # |x_k|^(r-2), zero convention
     pw2[nz] = a[nz] ** (r - 2.0)
     c2 = np.zeros_like(x)  # conj(x_k)^2 |x_k|^(r-4), zero convention
@@ -212,19 +215,12 @@ def _ascend(T: OperatorTuple, space: SpaceDescriptor, x0: np.ndarray, rng):
             # this seed from a small perturbation, at most twice
             if restarts < 2:
                 restarts += 1
-                x = _normalize(space, x + 1e-3 * _random_direction(space, rng))
+                x = _normalize(space, x + 1e-3 * _gaussian(space, rng))
                 fval = _objective(T, r, x)
                 step = 1.0
                 continue
             break
     return fval, x
-
-
-def _random_direction(space: SpaceDescriptor, rng) -> np.ndarray:
-    g = rng.standard_normal(space.dim)
-    if space.field == COMPLEX:
-        g = g + 1j * rng.standard_normal(space.dim)
-    return g
 
 
 def radius_smooth(
@@ -239,16 +235,11 @@ def radius_smooth(
         raise Unsupported("radius_smooth requires an l_r space with 1 < r < inf")
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    results = []
+    scored = []
     for k in range(starts):
         rng = np.random.default_rng([seed, k])
-        x0 = random_unit_vector(space, rng)
-        fval, x = _ascend(T, space, x0, rng)
-        results.append((fval, x))
-    scored = []
-    for fval, x in results:
-        xs = smooth_duality_vector(x, space.norm.r)
-        scored.append((fval, NormingPair(x, xs)))
+        fval, x = _ascend(T, space, random_unit_vector(space, rng), rng)
+        scored.append((fval, NormingPair(x, smooth_duality_vector(x, space.norm.r))))
     value, attaining = _build_attaining(scored, space.field, False, attain_tol)
     return RadiusResult(
         value=value,
@@ -263,8 +254,13 @@ def radius(
     space: SpaceDescriptor,
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
+    attain_tol: float | None = None,
 ) -> RadiusResult:
-    """Dispatch to the exact or multi-start method based on the space."""
+    """Dispatch to the exact or multi-start method based on the space.
+
+    attain_tol=None keeps each method's own default attaining tolerance.
+    """
+    tol = {} if attain_tol is None else {"attain_tol": attain_tol}
     if space.is_smooth_lp:
-        return radius_smooth(T, space, starts=starts, seed=seed)
-    return radius_exact(T, space)
+        return radius_smooth(T, space, starts=starts, seed=seed, **tol)
+    return radius_exact(T, space, **tol)

@@ -268,11 +268,17 @@ def admissible_pairs(space: SpaceDescriptor) -> list[NormingPair]:
     return pairs
 
 
+def _gaussian(space: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:
+    """Standard Gaussian vector of the space's field (complex: independent parts)."""
+    g = rng.standard_normal(space.dim)
+    if space.field == COMPLEX:
+        g = g + 1j * rng.standard_normal(space.dim)
+    return g
+
+
 def random_unit_vector(space: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:
     while True:
-        g = rng.standard_normal(space.dim)
-        if space.field == COMPLEX:
-            g = g + 1j * rng.standard_normal(space.dim)
+        g = _gaussian(space, rng)
         nrm = norm_eval(space, g)
         if nrm > 1e-8:
             x = g / nrm

@@ -13,10 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroRadius
-from .optuples import CoefficientVector, OperatorTuple, pair_image, subdiff_coefficients
-from .radius import RadiusResult
-from .spaces import NormingPair, SpaceDescriptor, pairing
+from .optuples import (
+    CoefficientVector,
+    OperatorTuple,
+    pair_image,
+    power_weights,
+    subdiff_coefficients,
+)
+from .radius import RadiusResult, _require_positive
+from .spaces import NormingPair, SpaceDescriptor
 
 SMOOTH = "Smooth"
 NOT_SMOOTH = "NotSmooth"
@@ -50,11 +55,6 @@ class SmoothnessReport:
         return self.verdict == SMOOTH
 
 
-def _require_positive(rr: RadiusResult) -> None:
-    if rr.value <= 0 or rr.degenerate:
-        raise ZeroRadius("operation requires a positive joint radius")
-
-
 def generators(T: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult):
     """One subdifferential generator per attaining orbit representative."""
     _require_positive(rr)
@@ -75,16 +75,6 @@ def apply(gen: SubdiffGenerator, S: OperatorTuple):
     ) else float(np.dot(gen.alpha.alpha, z))
 
 
-def _c_value(T: OperatorTuple, S: OperatorTuple, pair: NormingPair) -> float:
-    zT = pair_image(T, pair)
-    zS = pair_image(S, pair)
-    a = np.abs(zT)
-    terms = np.zeros(T.d)
-    nz = a > 0
-    terms[nz] = np.real(np.conj(zT[nz]) * a[nz] ** (T.p - 2.0) * zS[nz])
-    return float(np.sum(terms))
-
-
 def gateaux_one_sided(
     T: OperatorTuple, S: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult
 ) -> GateauxReport:
@@ -96,7 +86,10 @@ def gateaux_one_sided(
     """
     _require_positive(rr)
     T._check_compatible(S)
-    cs = tuple(_c_value(T, S, orb.representative) for orb in rr.attaining.orbits)
+    cs = tuple(
+        float(np.sum(np.real(power_weights(T, S, orb.representative))))
+        for orb in rr.attaining.orbits
+    )
     scale = rr.value ** (T.p - 1.0)
     return GateauxReport(
         g_plus=max(cs) / scale,
@@ -123,12 +116,7 @@ def smoothness(T: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult) -> Sm
         else:
             spread = max(o.value for o in orbits) - min(o.value for o in orbits)
             verdict = NOT_SMOOTH if spread <= VALUE_WINDOW * max(rr.value, 1.0) else INCONCLUSIVE
-    gen = None
-    if verdict == SMOOTH:
-        gen = SubdiffGenerator(
-            pair=orbits[0].representative,
-            alpha=subdiff_coefficients(T, orbits[0].representative, rr.value),
-        )
+    gen = generators(T, space, rr)[0] if verdict == SMOOTH else None
     return SmoothnessReport(verdict=verdict, exhaustive=rr.exhaustive, generator=gen)
 
 

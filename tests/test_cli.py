@@ -1,12 +1,19 @@
 import json
+import math
 import os
+import re
+import shlex
 
 import pytest
 
+import jointradius.oracle
+from jointradius import cli
 from jointradius.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(ROOT, "problems")
+README = os.path.join(ROOT, "README.md")
+LINF2 = {"field": "real", "dim": 2, "norm": {"kind": "lp", "r": "inf"}}
 
 
 def run(capsys, *argv):
@@ -58,6 +65,19 @@ class TestRadiusCommand:
         assert code == 0
         assert json.loads(out)["value"] == 1.0
 
+    @pytest.mark.parametrize("r", ["inf", 2], ids=["exact", "smooth"])
+    def test_loose_tol_reports_more_orbits(self, capsys, tmp_path, r):
+        # the second orbit sits 1e-6 below the first, outside both defaults
+        space = {"field": "real", "dim": 2, "norm": {"kind": "lp", "r": r}}
+        tup = {"d": 1, "p": 2, "matrices": [[[1, 0], [0, -(1 - 1e-6)]]]}
+        path = write_problem(tmp_path, {"space": space, "tuple": tup})
+        counts = []
+        for tol in ((), ("--tol", "1e-4")):
+            code, out, _ = run(capsys, "radius", path, "--starts", "8", *tol)
+            assert code == 0
+            counts.append(len(json.loads(out)["orbits"]))
+        assert counts[1] > counts[0]
+
 
 class TestOtherCommands:
     def test_subdiff(self, capsys):
@@ -98,6 +118,38 @@ class TestOtherCommands:
         assert data["approximate"] is True
         assert sum(w["t"] for w in data["certificate"]["weights"]) == pytest.approx(1.0)
 
+    def test_direction_flag_may_name_a_problem_file(self, capsys, tmp_path):
+        direction = {"d": 1, "p": 2, "matrices": [[[1, 0], [0, 0]]]}
+        outs = []
+        for obj in (direction, {"space": LINF2, "direction": direction}):
+            path = write_problem(tmp_path, obj, "dir.json")
+            code, out, _ = run(capsys, "gateaux", prob("linf2_exact.json"), "--direction", path)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_subspace_section_shapes(self, capsys, tmp_path):
+        basis = [
+            {"d": 1, "p": 2, "matrices": [[[0, 1], [0, 0]]]},
+            {"d": 1, "p": 2, "matrices": [[[0, 0], [1, 1]]]},
+        ]
+        base = {"space": LINF2, "tuple": {"d": 1, "p": 2, "matrices": [[[1, 0], [0, 0]]]}}
+        listed = write_problem(tmp_path, basis, "list.json")
+        wrapped = write_problem(tmp_path, {"basis": basis}, "wrapped.json")
+        argvs = [
+            (write_problem(tmp_path, {**base, "subspace": basis}, "inline_list.json"),),
+            (write_problem(tmp_path, {**base, "subspace": {"basis": basis}}, "inline.json"),),
+            (write_problem(tmp_path, {**base, "subspace": wrapped}, "by_path.json"),),
+            (write_problem(tmp_path, base, "base.json"), "--subspace", listed),
+            (write_problem(tmp_path, base, "base.json"), "--subspace", wrapped),
+        ]
+        outs = []
+        for argv in argvs:
+            code, out, err = run(capsys, "orth", *argv)
+            assert code == 0, err
+            outs.append(out)
+        assert len(set(outs)) == 1
+
     def test_extremes(self, capsys):
         code, out, _ = run(capsys, "extremes", prob("linf2_exact.json"))
         assert code == 0
@@ -119,6 +171,21 @@ class TestOtherCommands:
         assert data["passed"] is True
         assert data["sampled_radius"] <= data["value"] + 1e-12
         assert "check" in err  # human-readable table on stderr
+
+    def test_verify_passes_starts_to_audit(self, capsys, monkeypatch):
+        seen = []
+        original = jointradius.oracle.radius
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs.get("starts"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(jointradius.oracle, "radius", recording)
+        code, _, _ = run(
+            capsys, "verify", prob("linf2_exact.json"), "--samples", "200", "--starts", "3"
+        )
+        assert code == 0
+        assert seen and set(seen) == {3}
 
 
 class TestErrorPaths:
@@ -165,6 +232,22 @@ class TestErrorPaths:
         code, _, _ = run(capsys, "radius", path)
         assert code == 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_matrix_entry(self, capsys, tmp_path, bad):
+        tup = {"d": 1, "p": 2, "matrices": [[[1, bad], [0, 0]]]}
+        path = write_problem(tmp_path, {"space": LINF2, "tuple": tup})
+        code, out, err = run(capsys, "smooth", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_non_finite_output_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli.COMMANDS, "radius", lambda problem, args: {"value": math.inf})
+        code, out, err = run(capsys, "radius", prob("linf2_exact.json"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_gateaux_without_direction(self, capsys):
         code, _, _ = run(capsys, "gateaux", prob("linf2_exact.json"))
         assert code == 1
@@ -189,3 +272,33 @@ class TestErrorPaths:
             capsys, "orth", prob("linf2_exact.json"), "--against", direction
         )
         assert code == 2
+
+
+def _readme_commands() -> dict:
+    """argv of each `jointradius ...` line in the README's command block, by command."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("jointradius ")]
+    return {argv[0]: argv for argv in (shlex.split(ln, comments=True)[1:] for ln in lines)}
+
+
+class TestReadme:
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_command_block_runs(self, capsys, monkeypatch, command):
+        monkeypatch.chdir(ROOT)  # the README's paths are repo-relative
+        code, _, err = run(capsys, *_readme_commands()[command])
+        assert code == 0, err
+
+    def test_polyhedral_schema_keys(self, capsys, tmp_path):
+        with open(README, encoding="utf-8") as fh:
+            line = next(ln for ln in fh if '"kind": "polyhedral"' in ln)
+        primal_key, dual_key = re.findall(r'"(\w+)": \[', line)
+        square = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
+        cross = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+        norm = {"kind": "polyhedral", primal_key: square, dual_key: cross}
+        space = {"field": "real", "dim": 2, "norm": norm}
+        tup = {"d": 1, "p": 2, "matrices": [[[1, 0], [0, 0]]]}
+        code, out, err = run(capsys, "radius", write_problem(tmp_path, {"space": space, "tuple": tup}))
+        assert code == 0, err
+        assert json.loads(out)["value"] == 1.0

@@ -45,6 +45,14 @@ class TestConstruction:
         with pytest.raises(InvalidDescriptor):
             OperatorTuple((np.eye(2) * 1j,), p=2.0, field=REAL)
 
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad, field):
+        M = np.eye(2, dtype=complex if field == COMPLEX else float)
+        M[0, 1] = bad
+        with pytest.raises(InvalidDescriptor):
+            OperatorTuple((np.eye(2), M), p=2.0, field=field)
+
     def test_conjugate_exponent(self):
         assert OperatorTuple((np.eye(2),), p=3.0).q == pytest.approx(1.5)
 

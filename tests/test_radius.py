@@ -203,3 +203,12 @@ class TestNormProperties:
     def test_dispatch(self):
         assert radius(single(np.eye(2)), linf(2)).method == "ExactEnumeration"
         assert radius(single(np.eye(2)), hilbert(2, REAL), starts=4).method == "MultiStart"
+
+    @pytest.mark.parametrize("space", [linf(2), hilbert(2, REAL)], ids=["exact", "smooth"])
+    def test_dispatch_keeps_each_method_default_tolerance(self, space):
+        # the second orbit sits 1e-6 below the first, outside both defaults
+        T = single(np.diag([1.0, -(1.0 - 1e-6)]))
+        own = radius_smooth(T, space, starts=8) if space.is_smooth_lp else radius_exact(T, space)
+        via = radius(T, space, starts=8, attain_tol=None)
+        assert via.value == own.value
+        assert [o.value for o in via.attaining.orbits] == [o.value for o in own.attaining.orbits]
