@@ -3,8 +3,8 @@
 Reads a problem file (space + tuple, plus optional direction/against/
 subspace sections), dispatches to the solvers, and writes machine-readable
 JSON to standard output.  Diagnostics go to standard error.  Exit codes:
-0 success, 1 I/O or schema errors, 2 mathematical errors (zero radius,
-dependent direction).
+0 success, 1 I/O, schema or floating-point range errors, 2 mathematical
+errors (zero radius, dependent direction).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     ZeroRadius,
 )
 from .optuples import OperatorTuple, _entry_to_json, tuple_from_json
-from .oracle import audit, sampled_radius
+from .oracle import audit
 from .orth import TupleSubspace, orth_scalar, orth_subspace
 from .radius import DEFAULT_STARTS, radius
 from .spaces import UNBOUNDED, SpaceDescriptor, extreme_points, space_from_json
@@ -207,16 +207,17 @@ def _cmd_extremes(problem, args):
     primal, dual = ext
     return {
         "unbounded": False,
-        "primal": [[float(c) for c in v] for v in primal],
-        "dual": [[float(c) for c in u] for u in dual],
+        "primal": primal.tolist(),
+        "dual": dual.tolist(),
     }
 
 
 def _cmd_verify(problem, args):
     rr = _radius(problem, args)
     gens = generators(problem.tuple, problem.space, rr) if rr.value > 0 and not rr.degenerate else []
-    report = audit(problem.tuple, problem.space, rr, gens, seed=args.seed, starts=args.starts)
-    sr = sampled_radius(problem.tuple, problem.space, samples=args.samples, seed=args.seed)
+    report = audit(
+        problem.tuple, problem.space, rr, gens, seed=args.seed, starts=args.starts, samples=args.samples
+    )
     rows = [
         {"name": c.name, "status": c.status, "measured": c.measured, "bound": c.bound}
         for c in report.checks
@@ -229,7 +230,7 @@ def _cmd_verify(problem, args):
         )
     return {
         "value": float(rr.value),
-        "sampled_radius": sr,
+        "sampled_radius": report.sampled_radius,
         "passed": report.passed,
         "checks": rows,
     }
@@ -273,7 +274,7 @@ def main(argv=None) -> int:
     except MATH_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (JointRadiusError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (JointRadiusError, OSError, json.JSONDecodeError, KeyError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

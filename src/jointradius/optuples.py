@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDescriptor
-from .spaces import COMPLEX, REAL, NormingPair, SpaceDescriptor, _signed_power, pairing
+from .spaces import COMPLEX, REAL, NormingPair, SpaceDescriptor, _signed_power, lp_norm
 
 
 @dataclass(frozen=True)
 class OperatorTuple:
-    matrices: tuple  # d dense n x n arrays
+    matrices: np.ndarray  # (d, n, n); built from any sequence of d n x n arrays
     p: float = 2.0
     field: str = REAL
 
@@ -28,28 +28,26 @@ class OperatorTuple:
             raise InvalidDescriptor(f"aggregation exponent must satisfy 1 < p < inf, got {self.p}")
         if len(self.matrices) < 1:
             raise InvalidDescriptor("tuple needs at least one operator")
-        raw = tuple(np.asarray(M) for M in self.matrices)
-        if self.field == REAL:
-            for M in raw:
-                if np.iscomplexobj(M) and np.any(np.imag(M) != 0):
-                    raise InvalidDescriptor("complex entries in a real-field tuple")
-        dtype = complex if self.field == COMPLEX else float
-        mats = tuple(M.real.astype(float) if dtype is float else M.astype(complex) for M in raw)
-        if not all(np.all(np.isfinite(M)) for M in mats):
+        try:
+            raw = np.asarray(self.matrices)
+        except ValueError as exc:  # a ragged sequence
+            raise DimensionMismatch("all operators must be square of the same dimension") from exc
+        if raw.ndim != 3 or raw.shape[1] != raw.shape[2]:
+            raise DimensionMismatch("all operators must be square of the same dimension")
+        if self.field == REAL and np.iscomplexobj(raw) and np.any(raw.imag != 0):
+            raise InvalidDescriptor("complex entries in a real-field tuple")
+        mats = raw.astype(complex) if self.field == COMPLEX else raw.real.astype(float)
+        if not np.all(np.isfinite(mats)):
             raise InvalidDescriptor("matrix entries must be finite")
-        n = mats[0].shape[0]
-        for M in mats:
-            if M.shape != (n, n):
-                raise DimensionMismatch("all operators must be square of the same dimension")
         object.__setattr__(self, "matrices", mats)
 
     @property
     def d(self) -> int:
-        return len(self.matrices)
+        return self.matrices.shape[0]
 
     @property
     def n(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[1]
 
     @property
     def q(self) -> float:
@@ -57,15 +55,11 @@ class OperatorTuple:
 
     def scaled(self, c) -> "OperatorTuple":
         fld = COMPLEX if (self.field == COMPLEX or isinstance(c, complex)) else REAL
-        return OperatorTuple(tuple(c * M for M in self.matrices), p=self.p, field=fld)
+        return OperatorTuple(c * self.matrices, p=self.p, field=fld)
 
     def __add__(self, other: "OperatorTuple") -> "OperatorTuple":
         self._check_compatible(other)
-        return OperatorTuple(
-            tuple(A + B for A, B in zip(self.matrices, other.matrices)),
-            p=self.p,
-            field=self.field,
-        )
+        return OperatorTuple(self.matrices + other.matrices, p=self.p, field=self.field)
 
     def __sub__(self, other: "OperatorTuple") -> "OperatorTuple":
         return self + other.scaled(-1.0)
@@ -75,7 +69,7 @@ class OperatorTuple:
             raise DimensionMismatch("tuples do not share (d, n, field, p)")
 
     def max_entry(self) -> float:
-        return max(float(np.max(np.abs(M))) for M in self.matrices)
+        return float(np.max(np.abs(self.matrices)))
 
 
 @dataclass(frozen=True)
@@ -86,7 +80,7 @@ class CoefficientVector:
         object.__setattr__(self, "alpha", np.asarray(self.alpha))
 
     def q_norm(self, q: float) -> float:
-        return float(np.linalg.norm(self.alpha, ord=q))
+        return lp_norm(self.alpha, q)
 
 
 def pair_image(T: OperatorTuple, pair: NormingPair) -> np.ndarray:
@@ -94,12 +88,12 @@ def pair_image(T: OperatorTuple, pair: NormingPair) -> np.ndarray:
     x = np.asarray(pair.x)
     if x.shape != (T.n,):
         raise DimensionMismatch("pair dimension does not match the tuple")
-    return np.array([pairing(pair.x_star, M @ x) for M in T.matrices])
+    return (T.matrices @ x) @ np.conj(pair.x_star)
 
 
 def aggregate(T: OperatorTuple, pair: NormingPair) -> float:
     """l_p norm of the pair image; the radius objective at one pair."""
-    return float(np.linalg.norm(pair_image(T, pair), ord=T.p))
+    return lp_norm(pair_image(T, pair), T.p)
 
 
 def power_weights(T: OperatorTuple, S: OperatorTuple, pair: NormingPair) -> np.ndarray:
@@ -118,10 +112,10 @@ def subdiff_coefficients(
     if w <= 0:
         raise ValueError("subdifferential coefficients need w > 0")
     z = pair_image(T, pair)
-    val = float(np.linalg.norm(z, ord=T.p))
+    val = lp_norm(z, T.p)
     if abs(val - w) > attaining_tol * max(1.0, w):
         warnings.warn("pair does not attain the radius; coefficients are diagnostic only")
-    alpha = _signed_power(z, T.p - 2.0) / w ** (T.p - 1.0)
+    alpha = _signed_power(z / w, T.p - 2.0)  # equals conj(z)|z|^(p-2) / w^(p-1)
     return CoefficientVector(alpha)
 
 
@@ -140,7 +134,7 @@ def rank_one_tuple(
     if space.field == REAL:
         coeffs = coeffs.real
         base = base.real
-    return OperatorTuple(tuple(c * base for c in coeffs), p=p, field=space.field)
+    return OperatorTuple(coeffs[:, None, None] * base, p=p, field=space.field)
 
 
 def tuple_combine(T: OperatorTuple, S: OperatorTuple, lam) -> OperatorTuple:
@@ -151,11 +145,7 @@ def tuple_combine(T: OperatorTuple, S: OperatorTuple, lam) -> OperatorTuple:
         raise DimensionMismatch(f"lambda must have length d={T.d}")
     if T.field == REAL and np.iscomplexobj(lam) and np.any(lam.imag != 0):
         raise InvalidDescriptor("complex scalings on a real-field tuple")
-    return OperatorTuple(
-        tuple(A + c * B for A, c, B in zip(T.matrices, lam, S.matrices)),
-        p=T.p,
-        field=T.field,
-    )
+    return OperatorTuple(T.matrices + lam[:, None, None] * S.matrices, p=T.p, field=T.field)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +184,8 @@ def tuple_from_json(obj: dict, field: str, default_p: float = 2.0) -> OperatorTu
     except (KeyError, TypeError) as exc:
         raise InvalidDescriptor("tuple object must contain 'matrices'") from exc
     p = float(obj.get("p", default_p))
-    mats = []
-    for M in mats_obj:
-        mats.append(np.array([[_entry_from_json(v, field) for v in row] for row in M]))
-    T = OperatorTuple(tuple(mats), p=p, field=field)
+    mats = [np.array([[_entry_from_json(v, field) for v in row] for row in M]) for M in mats_obj]
+    T = OperatorTuple(mats, p=p, field=field)
     if "d" in obj and int(obj["d"]) != T.d:
         raise InvalidDescriptor(f"declared d={obj['d']} but {T.d} matrices were given")
     return T

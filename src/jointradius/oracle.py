@@ -34,6 +34,7 @@ class CheckResult:
 @dataclass(frozen=True)
 class VerifyReport:
     checks: tuple
+    sampled_radius: float  # the lower bound the domination check compared against
 
     @property
     def passed(self) -> bool:
@@ -209,6 +210,7 @@ def audit(
     seed: int = 0,
     trials: int = 20,
     starts: int = DEFAULT_STARTS,
+    samples: int = 10_000,
 ) -> VerifyReport:
     """Run the invariant battery and report per-check results."""
     rng = np.random.default_rng(seed)
@@ -219,7 +221,7 @@ def audit(
             CheckResult(name=name, status="pass" if ok else "fail", measured=float(measured), bound=float(bound))
         )
 
-    sr = sampled_radius(T, space, samples=10_000, seed=seed)
+    sr = sampled_radius(T, space, samples=samples, seed=seed)
     record("sampled_radius_dominated", sr - rr.value, 1e-12, sr <= rr.value + 1e-12)
 
     nonzero = T.max_entry() > 0
@@ -247,4 +249,4 @@ def audit(
         record("generator_attains", worst_attain, 1e-9, worst_attain <= 1e-9)
         record("generator_norm_one", worst_bound, 1e-8, worst_bound <= 1e-8)
         record("supporting_inequality", worst_support, 1e-8, worst_support <= 1e-8)
-    return VerifyReport(checks=tuple(checks))
+    return VerifyReport(checks=tuple(checks), sampled_radius=sr)

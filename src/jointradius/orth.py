@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DependentDirection, EmptyBasis, InvalidCertificate
 from .lp import HullProblem, hull_membership
 from .optuples import OperatorTuple, power_weights
-from .radius import RadiusResult, _require_positive
+from .radius import RadiusResult, _weight_scale
 from .spaces import COMPLEX, NormingPair, SpaceDescriptor
 
 LP_TOL = 1e-9
@@ -49,32 +49,18 @@ class TupleSubspace:
             first._check_compatible(S)
 
 
-def _vectorize(T: OperatorTuple) -> np.ndarray:
-    return np.concatenate([M.ravel() for M in T.matrices])
-
-
-def _check_scalar_independent(T: OperatorTuple, S: OperatorTuple) -> None:
-    """Reject T in the component-wise scaling family of S."""
-    resid = 0.0
-    scale = max(_l2(T), 1e-300)
-    for A, B in zip(T.matrices, S.matrices):
-        denom = np.vdot(B, B)
-        lam = np.vdot(B, A) / denom if abs(denom) > 0 else 0.0
-        resid += float(np.linalg.norm(A - lam * B) ** 2)
-    if np.sqrt(resid) < DEPENDENT_TOL * scale:
-        raise DependentDirection("T lies in the scaling family of S")
+def _scaling_family(S: OperatorTuple) -> TupleSubspace:
+    """The family (lam_1 S_1, ..., lam_d S_d): the span of the d tuples (0, ..., S_i, ..., 0)."""
+    parts = np.eye(S.d)[:, :, None, None] * S.matrices
+    return TupleSubspace(tuple(OperatorTuple(M, p=S.p, field=S.field) for M in parts))
 
 
 def _check_subspace_independent(T: OperatorTuple, V: TupleSubspace) -> None:
-    B = np.column_stack([_vectorize(S) for S in V.basis])
-    t = _vectorize(T)
+    B = np.column_stack([S.matrices.ravel() for S in V.basis])
+    t = T.matrices.ravel()
     coef, *_ = np.linalg.lstsq(B, t, rcond=None)
     if np.linalg.norm(t - B @ coef) < DEPENDENT_TOL * max(np.linalg.norm(t), 1e-300):
         raise DependentDirection("T lies in the span of the subspace basis")
-
-
-def _l2(T: OperatorTuple) -> float:
-    return float(np.sqrt(sum(np.linalg.norm(M) ** 2 for M in T.matrices)))
 
 
 def _orbit_pairs(rr: RadiusResult):
@@ -120,23 +106,18 @@ def orth_scalar(
     T: OperatorTuple, S: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult
 ) -> OrthResult:
     """Orthogonality of T to the family (lam_1 S_1, ..., lam_d S_d)."""
-    _require_positive(rr)
-    T._check_compatible(S)
-    _check_scalar_independent(T, S)
-    rows = [power_weights(T, S, pr) for pr in _orbit_pairs(rr)]
-    ref = rr.value ** (T.p - 1.0) * S.max_entry()
-    return _decide(rows, space.field, rr, ref)
+    return orth_subspace(T, _scaling_family(S), space, rr)
 
 
 def orth_subspace(
     T: OperatorTuple, V: TupleSubspace, space: SpaceDescriptor, rr: RadiusResult
 ) -> OrthResult:
     """Orthogonality of T to span(basis); one constraint per basis tuple."""
-    _require_positive(rr)
+    scale = _weight_scale(rr, T.p)
     T._check_compatible(V.basis[0])
     _check_subspace_independent(T, V)
     rows = [_constraint_row_subspace(T, V, pr) for pr in _orbit_pairs(rr)]
-    ref = rr.value ** (T.p - 1.0) * max(S.max_entry() for S in V.basis)
+    ref = scale * max(S.max_entry() for S in V.basis)
     return _decide(rows, space.field, rr, ref)
 
 
@@ -147,20 +128,22 @@ def verify_certificate(
     space: SpaceDescriptor,
     rr: RadiusResult,
 ) -> float:
-    """Recompute the constraint sums from scratch; return the max violation."""
+    """Recompute the constraint sums from scratch; return the max violation.
+
+    direction is the OperatorTuple S of orth_scalar or the TupleSubspace of
+    orth_subspace.
+    """
     total = sum(t for _, t in cert.weights)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise InvalidCertificate(f"certificate weights sum to {total}, expected 1")
     if any(t <= 0 for _, t in cert.weights):
         raise InvalidCertificate("certificate weights must be strictly positive")
+    V = direction if isinstance(direction, TupleSubspace) else _scaling_family(direction)
     pairs = _orbit_pairs(rr)
     acc = None
     for j, t in cert.weights:
         if not (0 <= j < len(pairs)):
             raise InvalidCertificate(f"stale orbit index {j}")
-        if isinstance(direction, TupleSubspace):
-            row = _constraint_row_subspace(T, direction, pairs[j])
-        else:
-            row = power_weights(T, direction, pairs[j])
+        row = _constraint_row_subspace(T, V, pairs[j])
         acc = t * row if acc is None else acc + t * row
     return float(np.max(np.abs(acc)))

@@ -23,6 +23,7 @@ from .spaces import (
     _gaussian,
     _signed_power,
     admissible_pairs,
+    lp_norm,
     norm_eval,
     random_unit_vector,
     smooth_duality_vector,
@@ -67,6 +68,22 @@ class RadiusResult:
 def _require_positive(rr: RadiusResult) -> None:
     if rr.value <= 0 or rr.degenerate:
         raise ZeroRadius("operation requires a positive joint radius")
+
+
+def _weight_scale(rr: RadiusResult, p: float) -> float:
+    """w^(p-1), the divisor that turns power weights into derivative terms.
+
+    Raises OverflowError when it leaves the floating-point range: the power
+    weights are not rescaled, so they have over- or underflowed too.
+    """
+    _require_positive(rr)
+    try:
+        scale = rr.value ** (p - 1.0)
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise OverflowError(f"w^(p-1) leaves the floating-point range at w = {rr.value:g}, p = {p:g}")
+    return scale
 
 
 def orbit_dedup(pairs, field: str, tol: float = ORBIT_TOL):
@@ -143,9 +160,7 @@ def radius_exact(
 
 
 def _objective(T: OperatorTuple, r: float, x: np.ndarray) -> float:
-    xs = smooth_duality_vector(x, r)
-    z = np.array([np.vdot(xs, M @ x) for M in T.matrices])
-    return float(np.linalg.norm(z, ord=T.p))
+    return aggregate(T, NormingPair(x, smooth_duality_vector(x, r)))
 
 
 def _gradient(T: OperatorTuple, r: float, x: np.ndarray):
@@ -157,23 +172,24 @@ def _gradient(T: OperatorTuple, r: float, x: np.ndarray):
     """
     p = T.p
     a = np.abs(x)
-    nz = a > 0
+    nz = a > 1e-300
     s = _signed_power(x, r - 2.0)  # functional coefficients
     pw2 = np.zeros_like(x)  # |x_k|^(r-2), zero convention
     pw2[nz] = a[nz] ** (r - 2.0)
-    c2 = np.zeros_like(x)  # conj(x_k)^2 |x_k|^(r-4), zero convention
-    c2[nz] = np.conj(x[nz]) ** 2 * a[nz] ** (r - 4.0)
+    # conj(x_k)^2 |x_k|^(r-4), written so that no factor over- or underflows
+    c2 = np.zeros_like(x)
+    c2[nz] = (np.conj(x[nz]) / a[nz]) ** 2 * pw2[nz]
 
-    Y = np.array([M @ x for M in T.matrices])  # d x n
+    Y = T.matrices @ x  # d x n, row i is T_i x
     z = Y @ s  # z_i = sum_j s_j (T_i x)_j
-    val = float(np.linalg.norm(z, ord=p))
+    val = lp_norm(z, p)
     if val == 0.0:
         return 0.0, np.zeros_like(x)
 
-    zp = _signed_power(z, p - 2.0)  # conj(z_i)|z_i|^(p-2)
+    zp = _signed_power(z / val, p - 2.0)  # conj(z_i)|z_i|^(p-2) / val^(p-1)
     A = (r / 2.0) * pw2[None, :] * Y
-    B = ((r - 2.0) / 2.0) * c2[None, :] * Y + np.array([M.T @ s for M in T.matrices])
-    G = val ** (1.0 - p) * (zp @ A + np.conj(zp @ B))
+    B = ((r - 2.0) / 2.0) * c2[None, :] * Y + s @ T.matrices  # row i is T_i^T s
+    G = zp @ A + np.conj(zp @ B)
 
     # project onto the tangent of the l_r sphere at x
     nu = np.conj(s)  # gradient direction of the norm, x_k|x_k|^(r-2)
@@ -191,7 +207,6 @@ def _normalize(space: SpaceDescriptor, y: np.ndarray) -> np.ndarray:
 def _ascend(T: OperatorTuple, space: SpaceDescriptor, x0: np.ndarray, rng):
     r = space.norm.r
     x = _normalize(space, x0)
-    fval = _objective(T, r, x)
     step = 1.0
     restarts = 0
     for _ in range(MAX_ITER):

@@ -89,18 +89,21 @@ class SpaceDescriptor:
     def _validate_polyhedral(self):
         if self.field != REAL:
             raise InvalidDescriptor("polyhedral spaces are real-only")
-        prim = [np.asarray(v, dtype=float) for v in self.norm.primal_extremes]
-        dual = [np.asarray(u, dtype=float) for u in self.norm.dual_extremes]
-        if not prim or not dual:
+        if len(self.norm.primal_extremes) == 0 or len(self.norm.dual_extremes) == 0:
             raise InvalidDescriptor("extreme lists must be nonempty")
-        for vecs, name in ((prim, "primal"), (dual, "dual")):
-            for v in vecs:
-                if v.shape != (self.dim,):
-                    raise InvalidDescriptor(f"{name} extreme of wrong dimension")
-                if not any(np.max(np.abs(v + w)) <= DESCRIPTOR_TOL for w in vecs):
-                    raise InvalidDescriptor(f"{name} extremes not closed under negation")
-        P = np.array(prim)
-        D = np.array(dual)
+        try:
+            P, D = extreme_points(self)
+        except ValueError as exc:
+            raise InvalidDescriptor("extreme points must be numeric vectors of one length") from exc
+        for E, name in ((P, "primal"), (D, "dual")):
+            if E.ndim != 2 or E.shape[1] != self.dim:
+                raise InvalidDescriptor(f"{name} extreme of wrong dimension")
+            if not np.all(np.isfinite(E)):
+                raise InvalidDescriptor(f"{name} extremes must be finite")
+            # every row v has a row w with v + w = 0
+            gaps = np.max(np.abs(E[:, None, :] + E[None, :, :]), axis=2)
+            if not np.all(np.any(gaps <= DESCRIPTOR_TOL, axis=1)):
+                raise InvalidDescriptor(f"{name} extremes not closed under negation")
         G = np.abs(D @ P.T)  # |<u, v>| for every (u, v)
         if np.max(np.abs(G.max(axis=0) - 1.0)) > DESCRIPTOR_TOL:
             raise InvalidDescriptor("primal extremes are not unit vectors of the polyhedral norm")
@@ -143,19 +146,11 @@ class NormingPair:
             raise InvalidDescriptor("x_star(x) != 1")
 
 
-def _dual_matrix(space: SpaceDescriptor) -> np.ndarray:
-    return np.array([np.asarray(u, dtype=float) for u in space.norm.dual_extremes])
-
-
-def _primal_matrix(space: SpaceDescriptor) -> np.ndarray:
-    return np.array([np.asarray(v, dtype=float) for v in space.norm.primal_extremes])
-
-
 def norm_eval(space: SpaceDescriptor, v) -> float:
     """Norm of v in the space."""
     vec = space.as_vector(v)
     if isinstance(space.norm, Polyhedral):
-        return float(np.max(np.abs(_dual_matrix(space) @ vec)))
+        return float(np.max(np.abs(extreme_points(space)[1] @ vec)))
     return float(np.linalg.norm(vec, ord=space.norm.r))
 
 
@@ -163,8 +158,23 @@ def dual_norm_eval(space: SpaceDescriptor, u) -> float:
     """Norm of the functional u in the dual space."""
     vec = space.as_vector(u)
     if isinstance(space.norm, Polyhedral):
-        return float(np.max(np.abs(_primal_matrix(space) @ vec)))
+        return float(np.max(np.abs(extreme_points(space)[0] @ vec)))
     return float(np.linalg.norm(vec, ord=conjugate_exponent(space.norm.r)))
+
+
+def lp_norm(z: np.ndarray, p: float) -> float:
+    """l_p norm of the vector z, computed as m * ||z / m||_p with m = max |z_i|.
+
+    Dividing by m first keeps |z_i|^p inside the floating-point range for
+    any scale of z and any p >= 1.
+    """
+    a = np.abs(z)  # a fresh array, so it is scaled and raised in place
+    m = a.max()
+    if not 0.0 < m < math.inf:
+        return float(m)
+    a /= m
+    a **= p
+    return float(m * a.sum() ** (1.0 / p))
 
 
 def _signed_power(z: np.ndarray, e: float) -> np.ndarray:
@@ -190,39 +200,19 @@ def smooth_duality_vector(x: np.ndarray, r: float) -> np.ndarray:
     return np.conj(_signed_power(x, r - 2.0))
 
 
-def _finite_extreme_space(space: SpaceDescriptor) -> bool:
-    if isinstance(space.norm, Polyhedral):
-        return True
-    r = space.norm.r
-    return (r == 1 or math.isinf(r)) and space.field == REAL
-
-
-def _sign_vectors(n: int) -> list[np.ndarray]:
-    if n > SIGN_ENUM_CAP:
-        raise Unsupported(f"sign-vector enumeration capped at dim {SIGN_ENUM_CAP}")
-    return [np.array(s, dtype=float) for s in itertools.product((1.0, -1.0), repeat=n)]
-
-
-def _unit_vectors(n: int) -> list[np.ndarray]:
-    out = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        out.append(e)
-        out.append(-e)
-    return out
-
-
 def extreme_points(space: SpaceDescriptor):
     """Extreme points of the primal and dual unit balls.
 
-    Returns (primal, dual) lists for polyhedral spaces and real l_1/l_inf;
-    returns UNBOUNDED for strictly convex l_r (the whole sphere).
+    Returns (primal, dual) 2-D float arrays, one point per row, for
+    polyhedral spaces and real l_1/l_inf; returns UNBOUNDED for strictly
+    convex l_r (the whole sphere).  On l_1/l_inf the unit vectors come in
+    the order e_1, -e_1, e_2, -e_2, ... and the sign vectors in the order of
+    itertools.product((1, -1), repeat=n).
     """
     if isinstance(space.norm, Polyhedral):
         return (
-            [np.asarray(v, dtype=float) for v in space.norm.primal_extremes],
-            [np.asarray(u, dtype=float) for u in space.norm.dual_extremes],
+            np.array(space.norm.primal_extremes, dtype=float),
+            np.array(space.norm.dual_extremes, dtype=float),
         )
     r = space.norm.r
     if 1 < r < math.inf:
@@ -230,9 +220,11 @@ def extreme_points(space: SpaceDescriptor):
     if space.field != REAL:
         raise Unsupported("extreme structure of complex l_1/l_inf is not implemented")
     n = space.dim
-    if r == 1:
-        return _unit_vectors(n), _sign_vectors(n)
-    return _sign_vectors(n), _unit_vectors(n)
+    if n > SIGN_ENUM_CAP:
+        raise Unsupported(f"sign-vector enumeration capped at dim {SIGN_ENUM_CAP}")
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    units = np.kron(np.eye(n), [[1.0], [-1.0]])
+    return (units, signs) if r == 1 else (signs, units)
 
 
 def duality_map(space: SpaceDescriptor, x) -> list[NormingPair]:
@@ -242,30 +234,29 @@ def duality_map(space: SpaceDescriptor, x) -> list[NormingPair]:
         raise InvalidDescriptor("duality_map requires a unit vector")
     if space.is_smooth_lp:
         return [NormingPair(vec, smooth_duality_vector(vec, space.norm.r))]
-    ext = extreme_points(space)
-    if ext is UNBOUNDED:  # pragma: no cover - excluded by the branch above
-        raise Unsupported("no finite duality map for this space")
-    _, dual = ext
-    active = [u for u in dual if abs(pairing(u, vec) - 1.0) <= ACTIVE_TOL]
-    if not active:
+    _, dual = extreme_points(space)
+    active = dual[np.abs(dual @ vec - 1.0) <= ACTIVE_TOL]
+    if len(active) == 0:
         raise InvalidDescriptor("no active dual extreme: inconsistent descriptor")
-    return [NormingPair(vec, u.astype(space.dtype())) for u in active]
+    return [NormingPair(vec, u) for u in active]
 
 
 def admissible_pairs(space: SpaceDescriptor) -> list[NormingPair]:
-    """All extreme pairs (x, x*) with x*(x) = 1; exact basis for the radius."""
+    """All extreme pairs (x, x*) with x*(x) = 1; exact basis for the radius.
+
+    Pairs come primal-major: all functionals of the first primal extreme,
+    then those of the second, and so on.
+    """
     ext = extreme_points(space)
     if ext is UNBOUNDED:
         raise Unsupported("admissible pairs need finite extreme-point lists")
     primal, dual = ext
-    pairs = []
-    for v in primal:
-        for u in dual:
-            if abs(pairing(u, v) - 1.0) <= DESCRIPTOR_TOL:
-                pairs.append(NormingPair(v, u))
-    if not pairs:
+    rows, cols = np.nonzero(np.abs(primal @ dual.T - 1.0) <= DESCRIPTOR_TOL)
+    if len(rows) == 0:
         raise InvalidDescriptor("no admissible pairs: inconsistent descriptor")
-    return pairs
+    # one view per extreme point, shared by all of its pairs
+    primal, dual = list(primal), list(dual)
+    return [NormingPair(primal[i], dual[j]) for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 def _gaussian(space: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:

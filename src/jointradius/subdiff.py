@@ -20,7 +20,7 @@ from .optuples import (
     power_weights,
     subdiff_coefficients,
 )
-from .radius import RadiusResult, _require_positive
+from .radius import RadiusResult, _require_positive, _weight_scale
 from .spaces import NormingPair, SpaceDescriptor
 
 SMOOTH = "Smooth"
@@ -84,13 +84,12 @@ def gateaux_one_sided(
     lower bound for the true right derivative and g_minus an upper bound
     for the left one (missed orbits can only widen the range).
     """
-    _require_positive(rr)
+    scale = _weight_scale(rr, T.p)
     T._check_compatible(S)
     cs = tuple(
         float(np.sum(np.real(power_weights(T, S, orb.representative))))
         for orb in rr.attaining.orbits
     )
-    scale = rr.value ** (T.p - 1.0)
     return GateauxReport(
         g_plus=max(cs) / scale,
         g_minus=min(cs) / scale,

@@ -188,6 +188,53 @@ class TestOtherCommands:
         assert seen and set(seen) == {3}
 
 
+    def test_verify_draws_the_sampled_radius_once(self, capsys, monkeypatch):
+        drawn = []
+        original = jointradius.oracle.sampled_radius
+
+        def recording(*args, **kwargs):
+            drawn.append((kwargs.get("samples"), original(*args, **kwargs)))
+            return drawn[-1][1]
+
+        monkeypatch.setattr(jointradius.oracle, "sampled_radius", recording)
+        code, out, _ = run(capsys, "verify", prob("linf2_exact.json"), "--samples", "300")
+        assert code == 0
+        assert [samples for samples, _ in drawn] == [300]
+        assert json.loads(out)["sampled_radius"] == drawn[0][1]
+
+
+def _scaled_problem(tmp_path, c: float) -> str:
+    """T = c ([[1, 2], [3, 4]], [[0, 1], [1, 0]]) at p = 80 on real l_inf."""
+    A, B = [[1, 2], [3, 4]], [[0, 1], [1, 0]]
+    tup = {"d": 2, "p": 80, "matrices": [[[c * v for v in row] for row in M] for M in (A, B)]}
+    other = {"d": 2, "p": 80, "matrices": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}
+    obj = {"space": LINF2, "tuple": tup, "direction": other, "against": other}
+    return write_problem(tmp_path, obj, f"scaled_{c:g}.json")
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning would be a second stderr line
+class TestScale:
+    @pytest.mark.parametrize("c", [1e5, 1e-5])
+    def test_radius_and_smooth(self, capsys, tmp_path, c):
+        path = _scaled_problem(tmp_path, c)
+        code, out, err = run(capsys, "radius", path)
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["value"] == pytest.approx(7 * c, rel=1e-12)
+        assert len(data["orbits"]) == 1 and not data["degenerate"]
+        code, out, err = run(capsys, "smooth", path)
+        assert code == 0 and err == ""
+        assert json.loads(out)["smooth"] == "Smooth"
+
+    @pytest.mark.parametrize("c", [1e5, 1e-5])
+    @pytest.mark.parametrize("command", ["gateaux", "orth"])
+    def test_weight_scale_out_of_range_is_one_error_line(self, capsys, tmp_path, c, command):
+        code, out, err = run(capsys, command, _scaled_problem(tmp_path, c))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestErrorPaths:
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "radius", "/nonexistent/problem.json")
@@ -237,6 +284,18 @@ class TestErrorPaths:
         tup = {"d": 1, "p": 2, "matrices": [[[1, bad], [0, 0]]]}
         path = write_problem(tmp_path, {"space": LINF2, "tuple": tup})
         code, out, err = run(capsys, "smooth", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_polyhedral_extreme(self, capsys, tmp_path, bad):
+        square = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
+        cross = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+        norm = {"kind": "polyhedral", "primal_extremes": square + [[bad, 0], [-bad, 0]], "dual_extremes": cross}
+        tup = {"d": 1, "p": 2, "matrices": [[[1, 0], [0, 0]]]}
+        path = write_problem(tmp_path, {"space": {"field": "real", "dim": 2, "norm": norm}, "tuple": tup})
+        code, out, err = run(capsys, "radius", path)
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1

@@ -41,6 +41,18 @@ class TestConstruction:
         with pytest.raises(DimensionMismatch):
             OperatorTuple((np.eye(2), np.eye(3)), p=2.0)
 
+    @pytest.mark.parametrize("mats", [(np.ones((2, 3)),), (np.ones((2, 3)), np.ones((2, 3))), (np.ones(2),)])
+    def test_non_square_rejected(self, mats):
+        with pytest.raises(DimensionMismatch):
+            OperatorTuple(mats, p=2.0)
+
+    @pytest.mark.parametrize("field, dtype", [(REAL, float), (COMPLEX, complex)])
+    def test_matrices_are_one_array(self, field, dtype):
+        T = OperatorTuple([np.eye(3), np.ones((3, 3)).tolist()], p=2.0, field=field)
+        assert isinstance(T.matrices, np.ndarray)
+        assert T.matrices.shape == (2, 3, 3) and T.matrices.dtype == dtype
+        assert (T.d, T.n) == (2, 3)
+
     def test_complex_entries_in_real_tuple(self):
         with pytest.raises(InvalidDescriptor):
             OperatorTuple((np.eye(2) * 1j,), p=2.0, field=REAL)

@@ -15,9 +15,12 @@ from jointradius import (
     radius_exact,
     radius_smooth,
     random_tuple,
+    generators,
     sample_pairs,
     sampled_radius,
+    smoothness,
 )
+from jointradius.radius import _gradient
 from conftest import hilbert, l1, linf, lr, random_polygon_space, single
 
 SQ2 = 1 / math.sqrt(2)
@@ -119,6 +122,38 @@ class TestRadiusSmooth:
     def test_unsupported(self):
         with pytest.raises(Unsupported):
             radius_smooth(single(np.eye(2)), linf(2))
+
+
+class TestGradient:
+    def test_tiny_coordinate_gives_finite_gradient(self):
+        # conj(x_k)^2 |x_k|^(r-4) was 0 * inf here
+        val, G = _gradient(single([[1.0, 2.0], [3.0, 4.0]]), 1.5, np.array([1.0, 1e-200]))
+        assert val > 0
+        assert np.all(np.isfinite(G))
+
+
+def _scaled_pair_tuple(c: float) -> OperatorTuple:
+    A = np.array([[1.0, 2.0], [3.0, 4.0]])
+    B = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return OperatorTuple((c * A, c * B), p=80.0)
+
+
+class TestScaleSafety:
+    """At p = 80 every |z_i|^p of these pair images leaves the float range."""
+
+    @pytest.mark.parametrize("c", [1e5, 1e-5])
+    def test_radius_is_homogeneous(self, c):
+        sp = linf(2)
+        unit_T, T = _scaled_pair_tuple(1.0), _scaled_pair_tuple(c)
+        unit, rr = radius(unit_T, sp), radius(T, sp)
+        assert unit.value == pytest.approx(7.0, rel=1e-12)
+        assert rr.value == pytest.approx(c * unit.value, rel=1e-12)
+        assert not rr.degenerate
+        assert len(rr.attaining.orbits) == len(unit.attaining.orbits) == 1
+        assert smoothness(T, sp, rr).verdict == smoothness(unit_T, sp, unit).verdict == "Smooth"
+        (gen,) = generators(T, sp, rr)
+        (unit_gen,) = generators(unit_T, sp, unit)
+        np.testing.assert_allclose(gen.alpha.alpha, unit_gen.alpha.alpha, rtol=1e-12)
 
 
 class TestDegenerate:

@@ -115,6 +115,14 @@ class TestExtremePoints:
         with pytest.raises(Unsupported):
             extreme_points(linf(21))
 
+    def test_one_point_per_row(self, rng):
+        for sp in (linf(3), l1(3), random_polygon_space(rng)):
+            for E in extreme_points(sp):
+                assert E.ndim == 2 and E.shape[1] == sp.dim and E.dtype == float
+        units, signs = extreme_points(l1(2))
+        np.testing.assert_array_equal(units, [[1, 0], [-1, 0], [0, 1], [0, -1]])
+        np.testing.assert_array_equal(signs, [[1, 1], [1, -1], [-1, 1], [-1, -1]])
+
 
 class TestAdmissiblePairs:
     def test_linf2_has_eight(self):
@@ -131,6 +139,16 @@ class TestAdmissiblePairs:
     def test_unsupported_on_smooth(self):
         with pytest.raises(Unsupported):
             admissible_pairs(lr(2, 3.0))
+
+    def test_primal_major_order(self, rng):
+        for sp in (linf(3), l1(3), random_polygon_space(rng, vertices=6)):
+            primal, dual = extreme_points(sp)
+            expected = [(v, u) for v in primal for u in dual if abs(np.dot(u, v) - 1.0) <= 1e-12]
+            pairs = admissible_pairs(sp)
+            assert len(pairs) == len(expected)
+            for pr, (v, u) in zip(pairs, expected):
+                np.testing.assert_array_equal(pr.x, v)
+                np.testing.assert_array_equal(pr.x_star, u)
 
 
 class TestSamplePairs:
@@ -209,6 +227,20 @@ class TestPolyhedralDescriptor:
                 dim=1,
                 norm=Polyhedral(((1.0,), (-1.0,)), ((1.0,), (-1.0,))),
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_non_finite_extreme_rejected(self, bad, side):
+        square = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
+        cross = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+        broken = [[bad, 0.0], [-bad, 0.0]] + (square if side == "primal" else cross)
+        prim, dual = (broken, cross) if side == "primal" else (square, broken)
+        with pytest.raises(InvalidDescriptor, match=f"{side} extremes must be finite"):
+            SpaceDescriptor(field=REAL, dim=2, norm=Polyhedral(tuple(map(tuple, prim)), tuple(map(tuple, dual))))
+
+    def test_ragged_extremes_rejected(self):
+        with pytest.raises(InvalidDescriptor):
+            SpaceDescriptor(field=REAL, dim=1, norm=Polyhedral(((1.0,), (-1.0, 0.0)), ((1.0,), (-1.0,))))
 
     def test_negation_closure_required(self):
         with pytest.raises(InvalidDescriptor):
