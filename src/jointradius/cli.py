@@ -3,8 +3,9 @@
 Reads a problem file (space + tuple, plus optional direction/against/
 subspace sections), dispatches to the solvers, and writes machine-readable
 JSON to standard output.  Diagnostics go to standard error.  Exit codes:
-0 success, 1 I/O, schema or floating-point range errors, 2 mathematical
-errors (zero radius, dependent direction).
+0 success, 1 I/O or schema errors or numbers out of range in the input
+(OverflowError, e.g. "dim": 1e999), 2 mathematical errors (zero radius,
+dependent direction).
 """
 
 from __future__ import annotations

@@ -96,15 +96,6 @@ def aggregate(T: OperatorTuple, pair: NormingPair) -> float:
     return lp_norm(pair_image(T, pair), T.p)
 
 
-def power_weights(T: OperatorTuple, S: OperatorTuple, pair: NormingPair) -> np.ndarray:
-    """Vector in F^d: entry i is conj(z_i)|z_i|^(p-2) x*(S_i x), z = pair_image(T, pair).
-
-    The real part of its sum is the derivative term of the radius toward S
-    at an attaining pair; its entries are the orthogonality constraint row.
-    """
-    return _signed_power(pair_image(T, pair), T.p - 2.0) * pair_image(S, pair)
-
-
 def subdiff_coefficients(
     T: OperatorTuple, pair: NormingPair, w: float, attaining_tol: float = 1e-6
 ) -> CoefficientVector:

@@ -126,7 +126,11 @@ def sampled_radius(
         Z = np.empty((X.shape[0], T.d), dtype=complex)
         for i, M in enumerate(T.matrices):
             Z[:, i] = np.einsum("mj,mj->m", np.conj(Xs), X @ M.T)
-        vals = np.linalg.norm(np.abs(Z), ord=T.p, axis=1)
+        # each row as m * ||Z/m||_p with m = max|Z_i|, so |Z_i|^p stays in range
+        A = np.abs(Z)
+        m = A.max(axis=1, keepdims=True)
+        m[m == 0] = 1.0
+        vals = m[:, 0] * np.linalg.norm(A / m, ord=T.p, axis=1)
         best = max(best, float(np.max(vals)))
     return best
 

@@ -2,9 +2,10 @@
 
 T is orthogonal to the scaling family of S (or to a tuple subspace V)
 exactly when the zero vector is a convex combination of the per-orbit
-constraint vectors built from attaining pairs.  Feasible weights form the
-certificate; on non-exhaustive attaining sets the verdict is approximate
-because missed orbits can flip an infeasible LP.
+constraint vectors: each orbit's subdifferential generator applied to the
+directions.  Feasible weights form the certificate; on non-exhaustive
+attaining sets the verdict is approximate because missed orbits can flip
+an infeasible LP.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import numpy as np
 
 from .errors import DependentDirection, EmptyBasis, InvalidCertificate
 from .lp import HullProblem, hull_membership
-from .optuples import OperatorTuple, power_weights
-from .radius import RadiusResult, _weight_scale
-from .spaces import COMPLEX, NormingPair, SpaceDescriptor
+from .optuples import OperatorTuple
+from .radius import RadiusResult
+from .spaces import COMPLEX, SpaceDescriptor
+from .subdiff import apply, generators
 
 LP_TOL = 1e-9
 DEPENDENT_TOL = 1e-10
@@ -63,22 +65,18 @@ def _check_subspace_independent(T: OperatorTuple, V: TupleSubspace) -> None:
         raise DependentDirection("T lies in the span of the subspace basis")
 
 
-def _orbit_pairs(rr: RadiusResult):
-    return [orb.representative for orb in rr.attaining.orbits]
+def _rows(T: OperatorTuple, V: TupleSubspace, space: SpaceDescriptor, rr: RadiusResult):
+    """One constraint row per attaining orbit: its generator applied to each basis tuple."""
+    return np.array([[apply(g, S) for S in V.basis] for g in generators(T, space, rr)])
 
 
-def _constraint_row_subspace(T: OperatorTuple, V: TupleSubspace, pair: NormingPair) -> np.ndarray:
-    return np.array([np.sum(power_weights(T, S, pair)) for S in V.basis])
+def _realify(rows: np.ndarray, field: str) -> np.ndarray:
+    if field == COMPLEX or np.iscomplexobj(rows):
+        return np.hstack([np.real(rows), np.imag(rows)])
+    return np.real(rows)
 
 
-def _realify(rows: list[np.ndarray], field: str) -> np.ndarray:
-    M = np.array(rows)
-    if field == COMPLEX or np.iscomplexobj(M):
-        return np.hstack([np.real(M), np.imag(M)])
-    return np.real(M)
-
-
-def _decide(rows: list[np.ndarray], field: str, rr: RadiusResult, ref: float) -> OrthResult:
+def _decide(rows: np.ndarray, field: str, rr: RadiusResult, ref: float) -> OrthResult:
     points = _realify(rows, field)
     scale = float(np.max(np.abs(points)))
     approximate = not rr.exhaustive
@@ -113,12 +111,10 @@ def orth_subspace(
     T: OperatorTuple, V: TupleSubspace, space: SpaceDescriptor, rr: RadiusResult
 ) -> OrthResult:
     """Orthogonality of T to span(basis); one constraint per basis tuple."""
-    scale = _weight_scale(rr, T.p)
     T._check_compatible(V.basis[0])
     _check_subspace_independent(T, V)
-    rows = [_constraint_row_subspace(T, V, pr) for pr in _orbit_pairs(rr)]
-    ref = scale * max(S.max_entry() for S in V.basis)
-    return _decide(rows, space.field, rr, ref)
+    ref = max(S.max_entry() for S in V.basis)
+    return _decide(_rows(T, V, space, rr), space.field, rr, ref)
 
 
 def verify_certificate(
@@ -139,11 +135,10 @@ def verify_certificate(
     if any(t <= 0 for _, t in cert.weights):
         raise InvalidCertificate("certificate weights must be strictly positive")
     V = direction if isinstance(direction, TupleSubspace) else _scaling_family(direction)
-    pairs = _orbit_pairs(rr)
-    acc = None
+    rows = _rows(T, V, space, rr)
+    acc = 0.0
     for j, t in cert.weights:
-        if not (0 <= j < len(pairs)):
+        if not (0 <= j < len(rows)):
             raise InvalidCertificate(f"stale orbit index {j}")
-        row = _constraint_row_subspace(T, V, pairs[j])
-        acc = t * row if acc is None else acc + t * row
+        acc = acc + t * rows[j]
     return float(np.max(np.abs(acc)))

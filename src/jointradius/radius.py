@@ -70,22 +70,6 @@ def _require_positive(rr: RadiusResult) -> None:
         raise ZeroRadius("operation requires a positive joint radius")
 
 
-def _weight_scale(rr: RadiusResult, p: float) -> float:
-    """w^(p-1), the divisor that turns power weights into derivative terms.
-
-    Raises OverflowError when it leaves the floating-point range: the power
-    weights are not rescaled, so they have over- or underflowed too.
-    """
-    _require_positive(rr)
-    try:
-        scale = rr.value ** (p - 1.0)
-    except OverflowError:
-        scale = math.inf
-    if not 0.0 < scale < math.inf:
-        raise OverflowError(f"w^(p-1) leaves the floating-point range at w = {rr.value:g}, p = {p:g}")
-    return scale
-
-
 def orbit_dedup(pairs, field: str, tol: float = ORBIT_TOL):
     """Greedy clustering of norming pairs into unimodular orbits.
 
@@ -250,11 +234,15 @@ def radius_smooth(
         raise Unsupported("radius_smooth requires an l_r space with 1 < r < inf")
     if starts < 1:
         raise ValueError("starts must be >= 1")
+    # the ascent's step cap and stop test are not scale-free, so it runs on
+    # T / max|T_ij| (a division: 1/m overflows for subnormal m)
+    m = T.max_entry() or 1.0
+    unit = OperatorTuple(T.matrices / m, p=T.p, field=T.field)
     scored = []
     for k in range(starts):
         rng = np.random.default_rng([seed, k])
-        fval, x = _ascend(T, space, random_unit_vector(space, rng), rng)
-        scored.append((fval, NormingPair(x, smooth_duality_vector(x, space.norm.r))))
+        fval, x = _ascend(unit, space, random_unit_vector(space, rng), rng)
+        scored.append((m * fval, NormingPair(x, smooth_duality_vector(x, space.norm.r))))
     value, attaining = _build_attaining(scored, space.field, False, attain_tol)
     return RadiusResult(
         value=value,

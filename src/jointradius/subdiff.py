@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optuples import (
-    CoefficientVector,
-    OperatorTuple,
-    pair_image,
-    power_weights,
-    subdiff_coefficients,
-)
-from .radius import RadiusResult, _require_positive, _weight_scale
+from .optuples import CoefficientVector, OperatorTuple, pair_image, subdiff_coefficients
+from .radius import RadiusResult, _require_positive
 from .spaces import NormingPair, SpaceDescriptor
 
 SMOOTH = "Smooth"
@@ -68,11 +62,11 @@ def generators(T: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult):
 
 
 def apply(gen: SubdiffGenerator, S: OperatorTuple):
-    """Evaluate the generator functional: sum_i alpha_i x*(S_i x)."""
-    z = pair_image(S, gen.pair)
-    return complex(np.dot(gen.alpha.alpha, z)) if np.iscomplexobj(z) or np.iscomplexobj(
-        gen.alpha.alpha
-    ) else float(np.dot(gen.alpha.alpha, z))
+    """Evaluate the generator functional: sum_i alpha_i x*(S_i x).
+
+    A float for real data, a complex for complex data.
+    """
+    return np.dot(gen.alpha.alpha, pair_image(S, gen.pair)).item()
 
 
 def gateaux_one_sided(
@@ -82,20 +76,13 @@ def gateaux_one_sided(
 
     Exact when the attaining set is exhaustive; otherwise g_plus is a
     lower bound for the true right derivative and g_minus an upper bound
-    for the left one (missed orbits can only widen the range).
+    for the left one (missed orbits can only widen the range).  The
+    c-values are Re f(S) for the generator f of each attaining orbit.
     """
-    scale = _weight_scale(rr, T.p)
+    gens = generators(T, space, rr)
     T._check_compatible(S)
-    cs = tuple(
-        float(np.sum(np.real(power_weights(T, S, orb.representative))))
-        for orb in rr.attaining.orbits
-    )
-    return GateauxReport(
-        g_plus=max(cs) / scale,
-        g_minus=min(cs) / scale,
-        c_values=cs,
-        exhaustive=rr.exhaustive,
-    )
+    cs = tuple(apply(g, S).real for g in gens)
+    return GateauxReport(g_plus=max(cs), g_minus=min(cs), c_values=cs, exhaustive=rr.exhaustive)
 
 
 def smoothness(T: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult) -> SmoothnessReport:
@@ -126,4 +113,4 @@ def gateaux_derivative(
     report = smoothness(T, space, rr)
     if not report.smooth:
         raise ValueError(f"radius is not Gateaux differentiable here (verdict {report.verdict})")
-    return float(np.real(apply(report.generator, S)))
+    return apply(report.generator, S).real

@@ -212,9 +212,12 @@ def _scaled_problem(tmp_path, c: float) -> str:
     return write_problem(tmp_path, obj, f"scaled_{c:g}.json")
 
 
+SCALES = [1e5, 1e-5, 1e150, 1e-150]
+
+
 @pytest.mark.filterwarnings("error")  # a numpy overflow warning would be a second stderr line
 class TestScale:
-    @pytest.mark.parametrize("c", [1e5, 1e-5])
+    @pytest.mark.parametrize("c", SCALES)
     def test_radius_and_smooth(self, capsys, tmp_path, c):
         path = _scaled_problem(tmp_path, c)
         code, out, err = run(capsys, "radius", path)
@@ -226,16 +229,44 @@ class TestScale:
         assert code == 0 and err == ""
         assert json.loads(out)["smooth"] == "Smooth"
 
-    @pytest.mark.parametrize("c", [1e5, 1e-5])
+    @pytest.mark.parametrize("c", SCALES)
     @pytest.mark.parametrize("command", ["gateaux", "orth"])
-    def test_weight_scale_out_of_range_is_one_error_line(self, capsys, tmp_path, c, command):
+    def test_gateaux_and_orth_are_scale_free(self, capsys, tmp_path, c, command):
+        # the derivative toward a fixed S does not depend on the scale of T
+        code, out, err = run(capsys, command, _scaled_problem(tmp_path, 1.0))
+        assert code == 0 and err == ""
+        unit = json.loads(out)
         code, out, err = run(capsys, command, _scaled_problem(tmp_path, c))
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        if command == "gateaux":
+            assert data["g_plus"] == pytest.approx(unit["g_plus"], rel=1e-12)
+            assert data["g_minus"] == pytest.approx(unit["g_minus"], rel=1e-12)
+        else:
+            assert data["orthogonal"] == unit["orthogonal"]
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_verify_passes(self, capsys, tmp_path, c):
+        code, out, _ = run(capsys, "verify", _scaled_problem(tmp_path, c), "--samples", "500")
+        assert code == 0
+        data = json.loads(out)
+        assert data["passed"]
+        assert 0.9 * data["value"] <= data["sampled_radius"] <= data["value"]
+
+
+class TestErrorPaths:
+    def test_number_out_of_range_is_one_error_line(self, capsys, tmp_path):
+        # JSON 1e999 parses as inf, and int(inf) raises OverflowError
+        path = tmp_path / "huge_dim.json"
+        path.write_text(
+            '{"space": {"field": "real", "dim": 1e999, "norm": {"kind": "lp", "r": "inf"}},'
+            ' "tuple": {"d": 1, "p": 2, "matrices": [[[1, 0], [0, 1]]]}}'
+        )
+        code, out, err = run(capsys, "radius", str(path))
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-
-class TestErrorPaths:
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "radius", "/nonexistent/problem.json")
         assert code == 1

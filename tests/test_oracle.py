@@ -46,6 +46,18 @@ class TestSampledRadius:
         assert sr <= 1.0 + 1e-12
         assert sr >= 0.95
 
+    @pytest.mark.parametrize("c", [1e150, 1e-150])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_homogeneous_at_extreme_scales(self, rng, c, field):
+        # at p = 80 the unscaled |z_i|^p over- or underflows at these scales
+        sp = lr(3, 3.0, field)
+        T = random_tuple(2, 3, field, 80.0, rng)
+        unit = sampled_radius(T, sp, samples=2000, seed=5)
+        assert unit > 0
+        assert sampled_radius(T.scaled(c), sp, samples=2000, seed=5) / c == pytest.approx(
+            unit, rel=1e-12
+        )
+
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             sampled_radius(single(np.eye(2)), hilbert(2, REAL), samples=0)

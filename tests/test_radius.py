@@ -155,6 +155,33 @@ class TestScaleSafety:
         (unit_gen,) = generators(unit_T, sp, unit)
         np.testing.assert_allclose(gen.alpha.alpha, unit_gen.alpha.alpha, rtol=1e-12)
 
+    @pytest.mark.parametrize("c", [1e150, 1e-150])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("r, p", [(1.5, 3.0), (3.0, 3.0), (50.0, 1.01), (50.0, 80.0)])
+    def test_smooth_radius_is_homogeneous(self, rng, c, field, r, p):
+        sp = lr(3, r, field)
+        T = random_tuple(2, 3, field, p, rng)
+        unit = radius_smooth(T, sp, starts=4, seed=0)
+        rr = radius_smooth(T.scaled(c), sp, starts=4, seed=0)
+        assert rr.value == pytest.approx(c * unit.value, rel=1e-12)
+        assert len(rr.attaining.orbits) == len(unit.attaining.orbits)
+        assert not rr.degenerate
+
+    @pytest.mark.parametrize("c", [1e150, 1e-150])
+    @pytest.mark.parametrize("p", [1.01, 80.0])
+    @pytest.mark.parametrize("kind", ["l1", "linf", "polygon"])
+    def test_exact_norm_axioms_at_extreme_scales(self, rng, c, p, kind):
+        # exact values only: multi-start values are lower bounds, so the
+        # triangle inequality cannot be asserted on them
+        sp = random_polygon_space(rng) if kind == "polygon" else {"l1": l1, "linf": linf}[kind](3)
+        for _ in range(3):
+            T = random_tuple(2, sp.dim, REAL, p, rng)
+            S = random_tuple(2, sp.dim, REAL, p, rng)
+            Tc, Sc = T.scaled(c), S.scaled(c)
+            wTc, wSc = radius_exact(Tc, sp).value, radius_exact(Sc, sp).value
+            assert wTc == pytest.approx(c * radius_exact(T, sp).value, rel=1e-12)
+            assert radius_exact(Tc + Sc, sp).value <= (wTc + wSc) * (1 + 1e-12)
+
 
 class TestDegenerate:
     def test_skew_symmetric_real_hilbert(self):
