@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -117,23 +116,13 @@ def _radius(problem: ProblemFile, args):
     )
 
 
-def _assert_finite(obj):
-    if isinstance(obj, dict):
-        for v in obj.values():
-            _assert_finite(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _assert_finite(v)
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        raise JointRadiusError("non-finite numeric in output; refusing to serialize")
-
-
 def _emit(obj, pretty: bool) -> None:
-    _assert_finite(obj)
-    if pretty:
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(obj, separators=(",", ":"), sort_keys=True))
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False, **layout)
+    except ValueError as exc:  # NaN or +-inf somewhere in obj
+        raise JointRadiusError("non-finite numeric in output; refusing to serialize") from exc
+    print(text)
 
 
 def _cmd_radius(problem, args):

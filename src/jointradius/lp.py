@@ -1,10 +1,14 @@
-"""Convex-hull membership by phase-I simplex.
+"""Convex-hull membership by nonnegative least squares.
 
 Decides whether a target vector is a convex combination of finitely many
-points and returns the weights.  Constraints are sum_j t_j v_j = target
-and sum_j t_j = 1 with t >= 0; artificial variables are driven to zero by
-a phase-I simplex with Bland's rule for anti-cycling.  Problem sizes here
-are tiny, so plain dense tableau arithmetic with row scaling suffices.
+points and returns the weights.  With A = [P^T; 1^T] and b = [target; 1],
+the target lies in the hull exactly when min ||A t - b|| over t >= 0 is
+zero; that problem is solved by the Lawson-Hanson active-set method
+(Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23) after each
+row is scaled by its max-abs entry.  At an infeasible instance the
+residual b - A t, divided by the row scales, separates: its point part h
+and its last entry c satisfy <h, v_j> + c <= 0 < <h, target> + c (up to
+the active-set tolerance).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 from .errors import DimensionMismatch
 
 DEFAULT_TOL = 1e-9
+ACTIVE_TOL = 1e-12  # gradient and coefficient threshold of the active set
 
 
 @dataclass(frozen=True)
@@ -43,87 +48,52 @@ class HullResult:
     weights: np.ndarray | None
 
 
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lawson-Hanson active-set solution of min ||A t - b|| over t >= 0."""
+    m = A.shape[1]
+    t = np.zeros(m)
+    free = np.zeros(m, dtype=bool)
+    for _ in range(3 * m):
+        grad = np.where(free, -np.inf, A.T @ (b - A @ t))
+        j = int(np.argmax(grad))
+        if grad[j] <= ACTIVE_TOL:
+            break
+        free[j] = True
+        while True:
+            s = np.zeros(m)
+            s[free] = np.linalg.lstsq(A[:, free], b, rcond=None)[0]
+            back = free & (s <= 0)
+            if not back.any():
+                break
+            # step from t toward s until the first coefficient reaches 0;
+            # the floor turns the 0/0 of a freed column with s = 0 into 0
+            ratios = t[back] / np.maximum(t[back] - s[back], np.finfo(float).tiny)
+            k = np.argmin(ratios)
+            t += ratios[k] * (s - t)
+            t[np.flatnonzero(back)[k]] = 0.0
+            free &= t > ACTIVE_TOL
+        t = s
+    return t
+
+
 def hull_membership(prob: HullProblem) -> HullResult:
     pts = prob.points
     tgt = prob.target
-    m, k = pts.shape
+    # rows: k equality constraints plus the convexity row, each divided by
+    # its max-abs entry
+    A = np.vstack([pts.T, np.ones(len(pts))])
+    b = np.append(tgt, 1.0)
+    scale = np.maximum(np.max(np.abs(A), axis=1), np.abs(b))
+    scale[scale == 0] = 1.0
+    A /= scale[:, None]
+    b /= scale
 
-    # rows: k equality constraints plus the convexity row
-    A = np.vstack([pts.T, np.ones((1, m))])
-    b = np.concatenate([tgt, [1.0]])
-
-    # partial scaling: divide each constraint row by its max-abs entry
-    for i in range(k + 1):
-        scale = max(np.max(np.abs(A[i])), abs(b[i]))
-        if scale > 0:
-            A[i] /= scale
-            b[i] /= scale
-    # make the right-hand side nonnegative so artificials start feasible
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    rows = k + 1
-    # tableau over variables [t_1..t_m, a_1..a_rows]
-    tab = np.hstack([A, np.eye(rows)])
-    basis = list(range(m, m + rows))
-    rhs = b.copy()
-
-    # phase-I objective: minimize the sum of artificials
-    cost = np.concatenate([np.zeros(m), np.ones(rows)])
-
-    pivot_tol = 1e-11
-    max_pivots = 50 * (m + rows)
-    for _ in range(max_pivots):
-        # reduced costs under the current basis
-        cb = cost[basis]
-        reduced = cost - cb @ tab
-        # Bland's rule: entering = smallest index with negative reduced cost
-        entering = -1
-        for j in range(m + rows):
-            if reduced[j] < -pivot_tol:
-                entering = j
-                break
-        if entering < 0:
-            break
-        col = tab[:, entering]
-        # ratio test, ties broken by smallest basis index (Bland)
-        leaving = -1
-        best = np.inf
-        for i in range(rows):
-            if col[i] > pivot_tol:
-                ratio = rhs[i] / col[i]
-                if ratio < best - 1e-15 or (
-                    abs(ratio - best) <= 1e-15 and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best = ratio
-                    leaving = i
-        if leaving < 0:
-            # unbounded phase-I cannot happen with artificials; bail out
-            break
-        piv = tab[leaving, entering]
-        tab[leaving] /= piv
-        rhs[leaving] /= piv
-        for i in range(rows):
-            if i != leaving and abs(tab[i, entering]) > 0:
-                factor = tab[i, entering]
-                tab[i] -= factor * tab[leaving]
-                rhs[i] -= factor * rhs[leaving]
-        basis[leaving] = entering
-
-    objective = float(sum(rhs[i] for i in range(rows) if basis[i] >= m))
-    if objective > prob.tolerance:
+    weights = _nnls(A, b)
+    # the L1 residual of the scaled rows is the phase-I objective of the LP
+    # form; t = 0 can pass it only under a tolerance of 1 or more
+    if np.sum(np.abs(A @ weights - b)) > prob.tolerance or not weights.any():
         return HullResult(feasible=False, weights=None)
-
-    weights = np.zeros(m)
-    for i in range(rows):
-        if basis[i] < m:
-            weights[basis[i]] = rhs[i]
-    weights = np.clip(weights, 0.0, None)
-    total = weights.sum()
-    if total <= 0:
-        return HullResult(feasible=False, weights=None)
-    weights /= total
+    weights /= weights.sum()
     # re-substitution check against the original, unscaled data
     if np.max(np.abs(pts.T @ weights - tgt)) > prob.tolerance * max(1.0, float(np.max(np.abs(pts)))):
         return HullResult(feasible=False, weights=None)

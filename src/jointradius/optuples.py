@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidDescriptor
 from .spaces import COMPLEX, REAL, NormingPair, SpaceDescriptor, _signed_power, lp_norm
 
+ATTAINING_TOL = 1e-6  # relative gap at which subdiff_coefficients warns
+
 
 @dataclass(frozen=True)
 class OperatorTuple:
@@ -96,15 +98,13 @@ def aggregate(T: OperatorTuple, pair: NormingPair) -> float:
     return lp_norm(pair_image(T, pair), T.p)
 
 
-def subdiff_coefficients(
-    T: OperatorTuple, pair: NormingPair, w: float, attaining_tol: float = 1e-6
-) -> CoefficientVector:
+def subdiff_coefficients(T: OperatorTuple, pair: NormingPair, w: float) -> CoefficientVector:
     """Coefficient vector alpha_i = conj(z_i)|z_i|^(p-2) / w^(p-1)."""
     if w <= 0:
         raise ValueError("subdifferential coefficients need w > 0")
     z = pair_image(T, pair)
     val = lp_norm(z, T.p)
-    if abs(val - w) > attaining_tol * max(1.0, w):
+    if abs(val - w) > ATTAINING_TOL * w:
         warnings.warn("pair does not attain the radius; coefficients are diagnostic only")
     alpha = _signed_power(z / w, T.p - 2.0)  # equals conj(z)|z|^(p-2) / w^(p-1)
     return CoefficientVector(alpha)

@@ -71,10 +71,9 @@ def _batch_unit_vectors(space: SpaceDescriptor, m: int, rng) -> np.ndarray:
         U = np.array([np.asarray(u, float) for u in space.norm.dual_extremes])
         norms = np.max(np.abs(X @ U.T), axis=1)
     else:
-        r = space.norm.r
-        norms = np.linalg.norm(X, ord=r, axis=1) if not math.isinf(r) else np.max(
-            np.abs(X), axis=1
-        )
+        # each row divided by its max |X_i| first, so |X_i|^r stays in range
+        X = X / np.max(np.abs(X), axis=1, keepdims=True)
+        norms = np.linalg.norm(X, ord=space.norm.r, axis=1)
     keep = norms > 1e-12
     return X[keep] / norms[keep, None]
 

@@ -151,7 +151,7 @@ def norm_eval(space: SpaceDescriptor, v) -> float:
     vec = space.as_vector(v)
     if isinstance(space.norm, Polyhedral):
         return float(np.max(np.abs(extreme_points(space)[1] @ vec)))
-    return float(np.linalg.norm(vec, ord=space.norm.r))
+    return lp_norm(vec, space.norm.r)
 
 
 def dual_norm_eval(space: SpaceDescriptor, u) -> float:
@@ -159,7 +159,7 @@ def dual_norm_eval(space: SpaceDescriptor, u) -> float:
     vec = space.as_vector(u)
     if isinstance(space.norm, Polyhedral):
         return float(np.max(np.abs(extreme_points(space)[0] @ vec)))
-    return float(np.linalg.norm(vec, ord=conjugate_exponent(space.norm.r)))
+    return lp_norm(vec, conjugate_exponent(space.norm.r))
 
 
 def lp_norm(z: np.ndarray, p: float) -> float:

@@ -254,6 +254,27 @@ class TestScale:
         assert 0.9 * data["value"] <= data["sampled_radius"] <= data["value"]
 
 
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning would be an extra stderr line
+class TestLargeR:
+    """|x_i|^r leaves the float range for r >= about 1e3 unless x is rescaled first."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("r", [1e3, 1e4])
+    @pytest.mark.parametrize("command", ["radius", "smooth", "verify"])
+    def test_exits_zero_without_warnings(self, capsys, tmp_path, command, r, field):
+        space = {"field": field, "dim": 2, "norm": {"kind": "lp", "r": r}}
+        tup = {"d": 2, "p": 3, "matrices": [[[1, 2], [3, 4]], [[0, 1], [1, 0]]]}
+        path = write_problem(tmp_path, {"space": space, "tuple": tup})
+        # verify's audit solves 20 more problems, so it gets fewer starts
+        starts = "2" if command == "verify" else "8"
+        code, out, err = run(capsys, command, path, "--starts", starts, "--samples", "2000")
+        assert code == 0, err
+        assert "Warning" not in err
+        data = json.loads(out)
+        if command == "radius":
+            assert math.isfinite(data["value"]) and len(data["orbits"]) == 1
+
+
 class TestErrorPaths:
     def test_number_out_of_range_is_one_error_line(self, capsys, tmp_path):
         # JSON 1e999 parses as inf, and int(inf) raises OverflowError

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from jointradius import DimensionMismatch, HullProblem, hull_membership
 
@@ -109,6 +110,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             HullProblem(points=[(1.0,)], target=(1.0,), tolerance=0.0)
 
+    def test_tolerance_above_one_with_zero_weights(self):
+        # the NNLS solution is t = 0 here, whose L1 residual 2 passes tolerance 3
+        assert not _solve([(-1.0,)], (1.0,), tol=3.0).feasible
+
 
 class TestHypothesis:
     @settings(max_examples=40, deadline=None)
@@ -125,3 +130,77 @@ class TestHypothesis:
         assert np.max(np.abs(pts.T @ res.weights - tgt)) <= 1e-9 * max(
             1.0, float(np.max(np.abs(pts)))
         )
+
+
+def _linprog_feasible(pts, tgt) -> bool:
+    """Reference verdict: is sum_j t_j v_j = target, sum_j t_j = 1, t >= 0 feasible?"""
+    m = len(pts)
+    res = linprog(
+        np.zeros(m),
+        A_eq=np.vstack([pts.T, np.ones(m)]),
+        b_eq=np.append(tgt, 1.0),
+        bounds=(0, None),
+        method="highs",
+    )
+    return res.status == 0
+
+
+def _instance(rng, kind):
+    """Seeded hull instance of the given kind at a random scale."""
+    m, k = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+    pts = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3, 3)
+    if kind == "feasible":
+        return pts, pts.T @ rng.dirichlet(np.ones(m))
+    if kind == "exterior":
+        # beyond the support of the points in a random direction
+        c = rng.standard_normal(k)
+        c /= np.linalg.norm(c)
+        support = pts @ c
+        margin = rng.uniform(1e-3, 1.0) * max(np.ptp(support), 1e-3 * np.max(np.abs(pts)))
+        return pts, c * (support.max() + margin)
+    if kind == "antipodal":
+        # 0 lies between v and -s v
+        v = rng.standard_normal((int(rng.integers(1, 4)), k))
+        pts = np.vstack([pts, v, -v * rng.uniform(0.1, 10.0, (len(v), 1))])
+        return pts[rng.permutation(len(pts))], np.zeros(k)
+    return pts, 0.5 * np.max(np.abs(pts)) * rng.standard_normal(k)
+
+
+class TestAgainstLinprog:
+    @pytest.mark.parametrize("kind", ["feasible", "exterior", "antipodal", "random"])
+    def test_verdicts_agree(self, rng, kind):
+        for _ in range(100):
+            pts, tgt = _instance(rng, kind)
+            want = _linprog_feasible(pts, tgt)
+            if kind != "random":
+                assert want == (kind != "exterior")
+            res = _solve(pts, tgt)
+            assert res.feasible == want
+            if res.feasible:
+                assert res.weights.min() >= 0.0
+                assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
+                assert np.max(np.abs(pts.T @ res.weights - tgt)) <= 1e-9 * max(
+                    1.0, float(np.max(np.abs(pts)))
+                )
+
+    def test_duplicate_points(self, rng):
+        for kind in ("feasible", "exterior", "antipodal", "random"):
+            for _ in range(10):
+                pts, tgt = _instance(rng, kind)
+                pts = np.repeat(pts, 3, axis=0)
+                assert _solve(pts, tgt).feasible == _linprog_feasible(pts, tgt)
+
+    def test_single_point(self, rng):
+        for _ in range(10):
+            v = rng.standard_normal(3)
+            for tgt in (v, v + 1e-3, np.zeros(3)):
+                assert _solve([v], tgt).feasible == _linprog_feasible(np.array([v]), tgt)
+
+    def test_all_zero_points(self):
+        pts = np.zeros((4, 3))
+        res = _solve(pts, np.zeros(3))
+        assert res.feasible
+        assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        for tgt in ((1e-3, 0.0, 0.0), (0.0, -5.0, 2.0)):
+            assert not _solve(pts, tgt).feasible
+            assert not _linprog_feasible(pts, np.array(tgt))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,16 @@ class TestSubdiffCoefficients:
         T = single(np.diag([1.0, 0.0]))
         with pytest.warns(UserWarning):
             subdiff_coefficients(T, _pair([0.0, 1.0]), w=1.0)
+
+    @pytest.mark.parametrize("c", [1.0, 1e-150, 1e150])
+    def test_nonattaining_warning_is_scale_free(self, c):
+        # the e_2 pair reaches half the radius at every scale of T
+        T = single(c * np.diag([1.0, 0.5]))
+        with pytest.warns(UserWarning):
+            subdiff_coefficients(T, _pair([0.0, 1.0]), w=c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            subdiff_coefficients(T, _pair([1.0, 0.0]), w=c)
 
     def test_rejects_nonpositive_w(self):
         with pytest.raises(ValueError):

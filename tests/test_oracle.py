@@ -14,7 +14,7 @@ from jointradius import (
     random_tuple,
     sampled_radius,
 )
-from jointradius.oracle import MINUS, PLUS
+from jointradius.oracle import MINUS, PLUS, _batch_unit_vectors
 from conftest import hilbert, linf, lr, single
 
 
@@ -61,6 +61,16 @@ class TestSampledRadius:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             sampled_radius(single(np.eye(2)), hilbert(2, REAL), samples=0)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("r", [1e3, 1e4])
+    def test_unit_vectors_at_large_r(self, field, r):
+        # |X_i|^r of a Gaussian sample overflows for r >= about 1e3 unless
+        # the row is divided by its max |X_i| first
+        X = _batch_unit_vectors(lr(3, r, field), 500, np.random.default_rng(0))
+        assert X.shape == (500, 3)
+        m = np.max(np.abs(X), axis=1)
+        np.testing.assert_allclose(m * np.linalg.norm(np.abs(X) / m[:, None], ord=r, axis=1), 1.0, rtol=1e-12)
 
 
 class TestFdGateaux:

@@ -167,6 +167,17 @@ class TestScaleSafety:
         assert len(rr.attaining.orbits) == len(unit.attaining.orbits)
         assert not rr.degenerate
 
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("r", [1e3, 1e4])
+    def test_large_r_is_finite_and_dominates_sampled(self, field, r):
+        # |x_i|^r of a vector with some |x_i| > 1 overflows at these r
+        sp = lr(2, r, field)
+        T = OperatorTuple(([[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [1.0, 0.0]]), p=3.0, field=field)
+        rr = radius(T, sp, starts=8)
+        assert math.isfinite(rr.value) and not rr.degenerate
+        assert len(rr.attaining.orbits) == 1
+        assert rr.value >= sampled_radius(T, sp)
+
     @pytest.mark.parametrize("c", [1e150, 1e-150])
     @pytest.mark.parametrize("p", [1.01, 80.0])
     @pytest.mark.parametrize("kind", ["l1", "linf", "polygon"])
