@@ -4,7 +4,10 @@ On spaces with finite extreme-point lists the supremum over norming pairs
 is attained on the admissible extreme pairs, so enumeration is exact.  On
 smooth l_r spaces the functional is the unique duality image of x, making
 the objective a function of x alone; it is maximized by seeded projected
-gradient ascent on the unit sphere with backtracking line search.
+gradient ascent on the unit sphere with backtracking line search.  A start
+ends at a zero gradient, after three consecutive accepted steps that each
+gain at most 1e-15 relative (rounding, or a null step that leaves x
+unchanged), or after MAX_ITER iterations.
 """
 
 from __future__ import annotations
@@ -74,36 +77,37 @@ def orbit_dedup(pairs, field: str, tol: float = ORBIT_TOL):
     """Greedy clustering of norming pairs into unimodular orbits.
 
     A candidate joins an orbit when a phase mu (sign for the real field)
-    aligned on the representative's largest coordinate maps the
-    representative onto it within tol in both components.  Founders keep
-    their input order, so the output is deterministic.
+    aligned on the founder's largest coordinate maps the founder onto it
+    within tol in both components.  Each candidate is compared with all
+    founders so far in one array operation.  Founders keep their input
+    order, so the output is deterministic.
     """
-    reps: list[NormingPair] = []
-    for cand in pairs:
-        if not any(_same_orbit(rep, cand, field, tol) for rep in reps):
-            reps.append(cand)
-    return reps
-
-
-def _same_orbit(rep: NormingPair, cand: NormingPair, field: str, tol: float) -> bool:
-    k = int(np.argmax(np.abs(rep.x)))
-    a, b = rep.x[k], cand.x[k]
-    if abs(b) < 1e-300:
-        return False
-    if field == COMPLEX:
-        mu = b * np.conj(a)
-        mod = abs(mu)
-        if mod < 1e-300:
-            return False
-        mu = mu / mod
-    else:
-        mu = 1.0 if float(a) * float(b) >= 0 else -1.0
-    # stored functionals are applied with a conjugation, so the mate of
-    # (x, x*) under phase mu is (mu x, mu x*) in stored coordinates
-    return (
-        np.linalg.norm(mu * rep.x - cand.x) <= tol
-        and np.linalg.norm(mu * rep.x_star - cand.x_star) <= tol
-    )
+    if not pairs:
+        return []
+    X = np.array([pr.x for pr in pairs])
+    XS = np.array([pr.x_star for pr in pairs])
+    K = np.argmax(np.abs(X), axis=1)
+    lead = X[np.arange(len(pairs)), K]  # each pair's own largest coordinate
+    reps: list[int] = []
+    for j in range(len(pairs)):
+        F = np.array(reps, dtype=int)
+        a, b = lead[F], X[j, K[F]]
+        ok = np.abs(b) >= 1e-300
+        if field == COMPLEX:
+            mu = b * np.conj(a)
+            mod = np.abs(mu)
+            ok &= mod >= 1e-300
+            mu = mu / np.where(ok, mod, 1.0)
+        else:
+            mu = np.where(a * b >= 0, 1.0, -1.0)
+        # stored functionals are applied with a conjugation, so the mate of
+        # (x, x*) under phase mu is (mu x, mu x*) in stored coordinates
+        mu = mu[:, None]
+        ok &= np.linalg.norm(mu * X[F] - X[j], axis=1) <= tol
+        ok &= np.linalg.norm(mu * XS[F] - XS[j], axis=1) <= tol
+        if not ok.any():
+            reps.append(j)
+    return [pairs[i] for i in reps]
 
 
 def _degenerate(value: float, T: OperatorTuple) -> bool:
@@ -192,11 +196,11 @@ def _ascend(T: OperatorTuple, space: SpaceDescriptor, x0: np.ndarray, rng):
     r = space.norm.r
     x = _normalize(space, x0)
     step = 1.0
-    restarts = 0
+    restarts = stalls = 0
     for _ in range(MAX_ITER):
         fval, G = _gradient(T, r, x)
         gn2 = float(np.real(np.vdot(G, G)))
-        if gn2 <= (1e-14 * (1.0 + fval)) ** 2:
+        if gn2 == 0.0:
             break
         s = min(4.0 * step, 1.0 / (1.0 + math.sqrt(gn2)))
         accepted = False
@@ -206,6 +210,8 @@ def _ascend(T: OperatorTuple, space: SpaceDescriptor, x0: np.ndarray, rng):
             # c = 0.3 keeps the accepted step below 1.4/curvature, so the
             # local contraction factor stays bounded away from 1
             if fc >= fval + 0.3 * s * gn2:
+                # a gain below 1e-15 f is rounding; a null step (cand == x) gains 0
+                stalls = stalls + 1 if fc - fval <= 1e-15 * abs(fval) else 0
                 x, fval, step, accepted = cand, fc, s, True
                 break
             s *= 0.5
@@ -214,10 +220,13 @@ def _ascend(T: OperatorTuple, space: SpaceDescriptor, x0: np.ndarray, rng):
             # this seed from a small perturbation, at most twice
             if restarts < 2:
                 restarts += 1
+                stalls = 0
                 x = _normalize(space, x + 1e-3 * _gaussian(space, rng))
                 fval = _objective(T, r, x)
                 step = 1.0
                 continue
+            break
+        if stalls == 3:
             break
     return fval, x
 

@@ -101,7 +101,7 @@ def smoothness(T: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult) -> Sm
             verdict = SMOOTH
         else:
             spread = max(o.value for o in orbits) - min(o.value for o in orbits)
-            verdict = NOT_SMOOTH if spread <= VALUE_WINDOW * max(rr.value, 1.0) else INCONCLUSIVE
+            verdict = NOT_SMOOTH if spread <= VALUE_WINDOW * rr.value else INCONCLUSIVE
     gen = generators(T, space, rr)[0] if verdict == SMOOTH else None
     return SmoothnessReport(verdict=verdict, exhaustive=rr.exhaustive, generator=gen)
 

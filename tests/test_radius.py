@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from jointradius import (
     NormingPair,
     OperatorTuple,
     Unsupported,
+    admissible_pairs,
     aggregate,
     orbit_dedup,
     radius,
@@ -20,7 +22,8 @@ from jointradius import (
     sampled_radius,
     smoothness,
 )
-from jointradius.radius import _gradient
+from jointradius.radius import MAX_ITER, ORBIT_TOL, _ascend, _gradient
+from jointradius.spaces import random_unit_vector
 from conftest import hilbert, l1, linf, lr, random_polygon_space, single
 
 SQ2 = 1 / math.sqrt(2)
@@ -200,6 +203,129 @@ class TestDegenerate:
         rr = radius_smooth(T, hilbert(2, REAL), starts=8, seed=0)
         assert rr.value <= 1e-12
         assert rr.degenerate
+
+
+def _count_gradient_calls(monkeypatch):
+    """Per-start `_gradient` call counts of every `_ascend` run from now on."""
+    module = sys.modules["jointradius.radius"]
+    counts = []
+    gradient, ascend = module._gradient, module._ascend
+
+    def counted_gradient(*args):
+        counts[-1] += 1
+        return gradient(*args)
+
+    def counted_ascend(*args):
+        counts.append(0)
+        return ascend(*args)
+
+    monkeypatch.setattr(module, "_gradient", counted_gradient)
+    monkeypatch.setattr(module, "_ascend", counted_ascend)
+    return counts
+
+
+class TestAscentStop:
+    def test_generic_starts_stop_long_before_max_iter(self, rng, monkeypatch):
+        counts = _count_gradient_calls(monkeypatch)
+        T = random_tuple(2, 3, REAL, 2.0, rng)
+        radius_smooth(T, hilbert(3, REAL), starts=8, seed=0)
+        assert len(counts) == 8
+        assert max(counts) <= MAX_ITER // 5
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_identity_takes_one_gradient_per_start(self, field, monkeypatch):
+        counts = _count_gradient_calls(monkeypatch)
+        T = single(np.eye(3), field=field)
+        rr = radius_smooth(T, hilbert(3, field), starts=8, seed=0)
+        assert counts == [1] * 8
+        assert rr.value == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("field, r", [(REAL, 2.0), (REAL, 3.0), (COMPLEX, 1.5)])
+    def test_restart_from_converged_point_stops_at_once(self, rng, field, r, monkeypatch):
+        sp = lr(3, r, field)
+        T = random_tuple(2, 3, field, 2.0, rng)
+        unit = OperatorTuple(T.matrices / T.max_entry(), p=T.p, field=T.field)
+        start = np.random.default_rng([0, 0])
+        fval, x = _ascend(unit, sp, random_unit_vector(sp, start), start)
+        counts = _count_gradient_calls(monkeypatch)
+        # through the module, so that the counting wrapper opens a count
+        again, _ = sys.modules["jointradius.radius"]._ascend(unit, sp, x, np.random.default_rng(1))
+        assert counts[0] <= 4
+        assert again == pytest.approx(fval, rel=1e-15)
+
+
+def _reference_dedup(pairs, field, tol):
+    """The pairwise orbit test orbit_dedup replaced: one candidate, one founder."""
+
+    def same_orbit(rep, cand):
+        k = int(np.argmax(np.abs(rep.x)))
+        a, b = rep.x[k], cand.x[k]
+        if abs(b) < 1e-300:
+            return False
+        if field == COMPLEX:
+            mu = b * np.conj(a)
+            mod = abs(mu)
+            if mod < 1e-300:
+                return False
+            mu = mu / mod
+        else:
+            mu = 1.0 if float(a) * float(b) >= 0 else -1.0
+        return (
+            np.linalg.norm(mu * rep.x - cand.x) <= tol
+            and np.linalg.norm(mu * rep.x_star - cand.x_star) <= tol
+        )
+
+    reps = []
+    for cand in pairs:
+        if not any(same_orbit(rep, cand) for rep in reps):
+            reps.append(cand)
+    return reps
+
+
+def _assert_same_founders(pairs, field, tol=ORBIT_TOL):
+    got = orbit_dedup(pairs, field, tol)
+    want = _reference_dedup(pairs, field, tol)
+    assert [id(pr) for pr in got] == [id(pr) for pr in want]
+    return got
+
+
+class TestOrbitDedupAgainstPairwise:
+    @pytest.mark.parametrize("space", [linf(4), l1(4)], ids=["linf4", "l1_4"])
+    def test_admissible_pairs(self, space):
+        pairs = admissible_pairs(space)
+        assert len(_assert_same_founders(pairs, REAL)) < len(pairs)
+
+    def test_polygon_pairs(self, rng):
+        for _ in range(3):
+            _assert_same_founders(admissible_pairs(random_polygon_space(rng, vertices=5)), REAL)
+
+    @pytest.mark.parametrize("r", [2.0, 3.0])
+    def test_complex_pairs_under_random_phases(self, rng, r):
+        base = sample_pairs(lr(3, r, COMPLEX), 6, seed=4)
+        pairs = []
+        for pr in base:
+            for theta in rng.uniform(0.0, 2.0 * np.pi, size=3):
+                mu = np.exp(1j * theta)
+                pairs.append(NormingPair(mu * pr.x, mu * pr.x_star))
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        assert len(_assert_same_founders(pairs, COMPLEX)) == len(base)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_displaced_mates(self, rng, field):
+        pr = sample_pairs(lr(3, 2.0, field), 1, seed=2)[0]
+        mu = -1.0 if field == REAL else np.exp(0.7j)
+        direction = rng.standard_normal(3)
+        direction[np.argmax(np.abs(pr.x))] = 0.0  # keep the phase-fixing coordinate
+        direction /= np.linalg.norm(direction)
+        near = NormingPair(mu * pr.x + 0.5 * ORBIT_TOL * direction, mu * pr.x_star)
+        far = NormingPair(mu * pr.x + 2.0 * ORBIT_TOL * direction, mu * pr.x_star)
+        assert len(_assert_same_founders([pr, near], field)) == 1
+        assert len(_assert_same_founders([pr, far], field)) == 2
+        assert len(_assert_same_founders([pr, far, near], field)) == 2
+
+    def test_empty(self):
+        assert orbit_dedup([], REAL) == []
+        assert orbit_dedup([], COMPLEX) == []
 
 
 class TestOrbitDedup:

@@ -187,6 +187,16 @@ class TestSmoothness:
         assert rep.verdict == "NotSmooth"
         assert not rep.exhaustive
 
+    @pytest.mark.parametrize("c", [1.0, 1e-150, 1e150])
+    def test_value_window_is_scale_free(self, c):
+        # two orbits 1e-5 apart, both kept by the loose attaining tolerance;
+        # a window of 1e-8 * max(w, 1) called them NotSmooth at c = 1e-150
+        sp = hilbert(2, REAL)
+        T = single(c * np.diag([1.0, -(1.0 - 1e-5)]))
+        rr = radius_smooth(T, sp, starts=16, seed=0, attain_tol=1e-4)
+        assert len(rr.attaining.orbits) == 2
+        assert smoothness(T, sp, rr).verdict == "Inconclusive"
+
     def test_zero_radius_raises(self):
         sp = hilbert(2, REAL)
         T = single([[0.0, 1.0], [-1.0, 0.0]])
