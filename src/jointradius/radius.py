@@ -4,16 +4,19 @@ On spaces with finite extreme-point lists the supremum over norming pairs
 is attained on the admissible extreme pairs, so enumeration is exact.  On
 smooth l_r spaces the functional is the unique duality image of x, making
 the objective a function of x alone; it is maximized by seeded projected
-gradient ascent on the unit sphere with backtracking line search.  A start
-ends at a zero gradient, after three consecutive accepted steps that each
-gain at most 1e-15 relative (rounding, or a null step that leaves x
-unchanged), or after MAX_ITER iterations.
+gradient ascent on the unit sphere with backtracking line search.  Each
+point the ascent visits is evaluated once: the gradient at an accepted
+candidate reuses that candidate's evaluation.  A start ends at a zero
+gradient, after three consecutive accepted steps that each gain at most
+1e-15 relative (rounding, or a null step that leaves x unchanged), or after
+MAX_ITER iterations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .spaces import (
     _signed_power,
     admissible_pairs,
     lp_norm,
-    norm_eval,
     random_unit_vector,
     smooth_duality_vector,
 )
@@ -116,7 +118,13 @@ def _degenerate(value: float, T: OperatorTuple) -> bool:
 
 
 def _build_attaining(scored, field: str, exhaustive: bool, rel_tol: float):
-    """scored: list of (value, pair), already ordered deterministically."""
+    """scored: list of (value, pair), already ordered deterministically.
+
+    rel_tol is the attaining tolerance, relative to the best value; it must
+    lie in [0, 1) (a NaN fails that test).
+    """
+    if not 0.0 <= rel_tol < 1.0:
+        raise ValueError(f"attaining tolerance must satisfy 0 <= tol < 1, got {rel_tol}")
     best = max(v for v, _ in scored)
     cut = best - rel_tol * max(best, 0.0)
     near = [(v, pr) for v, pr in scored if v >= cut]
@@ -147,34 +155,46 @@ def radius_exact(
 # multi-start ascent on smooth l_r spaces
 
 
-def _objective(T: OperatorTuple, r: float, x: np.ndarray) -> float:
-    return aggregate(T, NormingPair(x, smooth_duality_vector(x, r)))
+class _Evaluation(NamedTuple):
+    """The objective at a unit vector x and the pieces its gradient reuses."""
+
+    value: float
+    x: np.ndarray
+    a: np.ndarray  # |x_k|
+    nz: np.ndarray  # |x_k| > 1e-300
+    pw2: np.ndarray  # |x_k|^(r-2), zero convention
+    s: np.ndarray  # functional coefficients conj(x_k)|x_k|^(r-2)
+    Y: np.ndarray  # d x n, row i is T_i x
+    z: np.ndarray  # pair image, z_i = sum_j s_j (T_i x)_j
 
 
-def _gradient(T: OperatorTuple, r: float, x: np.ndarray):
-    """Riemannian-style gradient of the objective at a unit vector x.
-
-    Returns (value, tangent gradient).  Complex coordinates are treated as
-    pairs of real ones; the returned vector is the steepest-ascent
-    direction under the real inner product Re<., .>.
-    """
-    p = T.p
+def _objective(T: OperatorTuple, r: float, x: np.ndarray) -> _Evaluation:
+    """Evaluate ||(x*(T_i x))_i||_p, x* the duality image of the unit vector x."""
     a = np.abs(x)
     nz = a > 1e-300
-    s = _signed_power(x, r - 2.0)  # functional coefficients
-    pw2 = np.zeros_like(x)  # |x_k|^(r-2), zero convention
+    pw2 = np.zeros_like(x)
     pw2[nz] = a[nz] ** (r - 2.0)
+    s = np.conj(x) * pw2  # the floats of _signed_power(x, r - 2)
+    Y = T.matrices @ x
+    z = Y @ s
+    return _Evaluation(lp_norm(z, T.p), x, a, nz, pw2, s, Y, z)
+
+
+def _gradient(T: OperatorTuple, r: float, ev: _Evaluation) -> np.ndarray:
+    """Riemannian-style gradient of the objective at the evaluated point.
+
+    Complex coordinates are treated as pairs of real ones; the returned
+    vector is the steepest-ascent direction under the real inner product
+    Re<., .>.
+    """
+    if ev.value == 0.0:
+        return np.zeros_like(ev.x)
+    x, a, nz, pw2, s, Y = ev.x, ev.a, ev.nz, ev.pw2, ev.s, ev.Y
     # conj(x_k)^2 |x_k|^(r-4), written so that no factor over- or underflows
     c2 = np.zeros_like(x)
     c2[nz] = (np.conj(x[nz]) / a[nz]) ** 2 * pw2[nz]
 
-    Y = T.matrices @ x  # d x n, row i is T_i x
-    z = Y @ s  # z_i = sum_j s_j (T_i x)_j
-    val = lp_norm(z, p)
-    if val == 0.0:
-        return 0.0, np.zeros_like(x)
-
-    zp = _signed_power(z / val, p - 2.0)  # conj(z_i)|z_i|^(p-2) / val^(p-1)
+    zp = _signed_power(ev.z / ev.value, T.p - 2.0)  # conj(z_i)|z_i|^(p-2) / val^(p-1)
     A = (r / 2.0) * pw2[None, :] * Y
     B = ((r - 2.0) / 2.0) * c2[None, :] * Y + s @ T.matrices  # row i is T_i^T s
     G = zp @ A + np.conj(zp @ B)
@@ -184,35 +204,35 @@ def _gradient(T: OperatorTuple, r: float, x: np.ndarray):
     denom = float(np.real(np.vdot(nu, nu)))
     if denom > 0:
         G = G - (float(np.real(np.vdot(nu, G))) / denom) * nu
-    return val, G
+    return G
 
 
-def _normalize(space: SpaceDescriptor, y: np.ndarray) -> np.ndarray:
-    x = y / norm_eval(space, y)
-    return x / norm_eval(space, x)
+def _normalize(y: np.ndarray, r: float) -> np.ndarray:
+    x = y / lp_norm(y, r)
+    return x / lp_norm(x, r)
 
 
 def _ascend(T: OperatorTuple, space: SpaceDescriptor, x0: np.ndarray, rng):
     r = space.norm.r
-    x = _normalize(space, x0)
+    ev = _objective(T, r, _normalize(x0, r))
     step = 1.0
     restarts = stalls = 0
     for _ in range(MAX_ITER):
-        fval, G = _gradient(T, r, x)
+        fval = ev.value
+        G = _gradient(T, r, ev)
         gn2 = float(np.real(np.vdot(G, G)))
         if gn2 == 0.0:
             break
         s = min(4.0 * step, 1.0 / (1.0 + math.sqrt(gn2)))
         accepted = False
         while s >= MIN_STEP:
-            cand = _normalize(space, x + s * G)
-            fc = _objective(T, r, cand)
+            cand = _objective(T, r, _normalize(ev.x + s * G, r))
             # c = 0.3 keeps the accepted step below 1.4/curvature, so the
             # local contraction factor stays bounded away from 1
-            if fc >= fval + 0.3 * s * gn2:
+            if cand.value >= fval + 0.3 * s * gn2:
                 # a gain below 1e-15 f is rounding; a null step (cand == x) gains 0
-                stalls = stalls + 1 if fc - fval <= 1e-15 * abs(fval) else 0
-                x, fval, step, accepted = cand, fc, s, True
+                stalls = stalls + 1 if cand.value - fval <= 1e-15 * abs(fval) else 0
+                ev, step, accepted = cand, s, True
                 break
             s *= 0.5
         if not accepted:
@@ -221,14 +241,13 @@ def _ascend(T: OperatorTuple, space: SpaceDescriptor, x0: np.ndarray, rng):
             if restarts < 2:
                 restarts += 1
                 stalls = 0
-                x = _normalize(space, x + 1e-3 * _gaussian(space, rng))
-                fval = _objective(T, r, x)
+                ev = _objective(T, r, _normalize(ev.x + 1e-3 * _gaussian(space, rng), r))
                 step = 1.0
                 continue
             break
         if stalls == 3:
             break
-    return fval, x
+    return ev.value, ev.x
 
 
 def radius_smooth(

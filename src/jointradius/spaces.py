@@ -166,15 +166,24 @@ def lp_norm(z: np.ndarray, p: float) -> float:
     """l_p norm of the vector z, computed as m * ||z / m||_p with m = max |z_i|.
 
     Dividing by m first keeps |z_i|^p inside the floating-point range for
-    any scale of z and any p >= 1.
+    any scale of z and any p >= 1.  Below 8 entries numpy's max and sum cost
+    more than the arithmetic, so the reductions run in Python; numpy sums
+    so few entries left to right as well, so the floats are the same.
     """
     a = np.abs(z)  # a fresh array, so it is scaled and raised in place
-    m = a.max()
+    short = a.size < 8
+    m = max(a.tolist()) if short else a.max()
     if not 0.0 < m < math.inf:
-        return float(m)
+        return float(a.max())  # 0, inf or NaN; numpy's max lets a NaN through
     a /= m
     a **= p
-    return float(m * a.sum() ** (1.0 / p))
+    if short:
+        total = 0.0
+        for v in a.tolist():  # not sum(): Python 3.12+ compensates it
+            total += v
+    else:
+        total = a.sum()
+    return float(m * total ** (1.0 / p))
 
 
 def _signed_power(z: np.ndarray, e: float) -> np.ndarray:

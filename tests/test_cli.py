@@ -359,6 +359,16 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("tol", ["-1", "1", "2", "nan"])
+    @pytest.mark.parametrize(
+        "command, name", [("radius", "linf2_exact.json"), ("smooth", "hilbert_smooth.json")]
+    )
+    def test_attaining_tolerance_outside_unit_interval(self, capsys, command, name, tol):
+        code, out, err = run(capsys, command, prob(name), "--starts", "4", "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_gateaux_without_direction(self, capsys):
         code, _, _ = run(capsys, "gateaux", prob("linf2_exact.json"))
         assert code == 1

@@ -22,8 +22,15 @@ from jointradius import (
     sampled_radius,
     smoothness,
 )
-from jointradius.radius import MAX_ITER, ORBIT_TOL, _ascend, _gradient
-from jointradius.spaces import random_unit_vector
+from jointradius.radius import MAX_ITER, MIN_STEP, ORBIT_TOL, _ascend, _gradient, _objective
+from jointradius.spaces import (
+    _gaussian,
+    _signed_power,
+    lp_norm,
+    norm_eval,
+    random_unit_vector,
+    smooth_duality_vector,
+)
 from conftest import hilbert, l1, linf, lr, random_polygon_space, single
 
 SQ2 = 1 / math.sqrt(2)
@@ -130,8 +137,10 @@ class TestRadiusSmooth:
 class TestGradient:
     def test_tiny_coordinate_gives_finite_gradient(self):
         # conj(x_k)^2 |x_k|^(r-4) was 0 * inf here
-        val, G = _gradient(single([[1.0, 2.0], [3.0, 4.0]]), 1.5, np.array([1.0, 1e-200]))
-        assert val > 0
+        T = single([[1.0, 2.0], [3.0, 4.0]])
+        ev = _objective(T, 1.5, np.array([1.0, 1e-200]))
+        G = _gradient(T, 1.5, ev)
+        assert ev.value > 0
         assert np.all(np.isfinite(G))
 
 
@@ -252,6 +261,143 @@ class TestAscentStop:
         again, _ = sys.modules["jointradius.radius"]._ascend(unit, sp, x, np.random.default_rng(1))
         assert counts[0] <= 4
         assert again == pytest.approx(fval, rel=1e-15)
+
+
+def _unfused_objective(T, r, x):
+    return aggregate(T, NormingPair(x, smooth_duality_vector(x, r)))
+
+
+def _unfused_gradient(T, r, x):
+    """The gradient as it was before it took the objective's evaluation."""
+    p = T.p
+    a = np.abs(x)
+    nz = a > 1e-300
+    s = _signed_power(x, r - 2.0)
+    pw2 = np.zeros_like(x)
+    pw2[nz] = a[nz] ** (r - 2.0)
+    c2 = np.zeros_like(x)
+    c2[nz] = (np.conj(x[nz]) / a[nz]) ** 2 * pw2[nz]
+    Y = T.matrices @ x
+    z = Y @ s
+    val = lp_norm(z, p)
+    if val == 0.0:
+        return 0.0, np.zeros_like(x)
+    zp = _signed_power(z / val, p - 2.0)
+    A = (r / 2.0) * pw2[None, :] * Y
+    B = ((r - 2.0) / 2.0) * c2[None, :] * Y + s @ T.matrices
+    G = zp @ A + np.conj(zp @ B)
+    nu = np.conj(s)
+    denom = float(np.real(np.vdot(nu, nu)))
+    if denom > 0:
+        G = G - (float(np.real(np.vdot(nu, G))) / denom) * nu
+    return val, G
+
+
+def _unfused_normalize(space, y):
+    x = y / norm_eval(space, y)
+    return x / norm_eval(space, x)
+
+
+def _unfused_ascend(T, space, x0, rng):
+    """The ascent that evaluated every accepted point twice."""
+    r = space.norm.r
+    x = _unfused_normalize(space, x0)
+    step = 1.0
+    restarts = stalls = 0
+    for _ in range(MAX_ITER):
+        fval, G = _unfused_gradient(T, r, x)
+        gn2 = float(np.real(np.vdot(G, G)))
+        if gn2 == 0.0:
+            break
+        s = min(4.0 * step, 1.0 / (1.0 + math.sqrt(gn2)))
+        accepted = False
+        while s >= MIN_STEP:
+            cand = _unfused_normalize(space, x + s * G)
+            fc = _unfused_objective(T, r, cand)
+            if fc >= fval + 0.3 * s * gn2:
+                stalls = stalls + 1 if fc - fval <= 1e-15 * abs(fval) else 0
+                x, fval, step, accepted = cand, fc, s, True
+                break
+            s *= 0.5
+        if not accepted:
+            if restarts < 2:
+                restarts += 1
+                stalls = 0
+                x = _unfused_normalize(space, x + 1e-3 * _gaussian(space, rng))
+                fval = _unfused_objective(T, r, x)
+                step = 1.0
+                continue
+            break
+        if stalls == 3:
+            break
+    return fval, x
+
+
+def _assert_same_ascent(T, space, x0, seed):
+    want_f, want_x = _unfused_ascend(T, space, x0, np.random.default_rng(seed))
+    got_f, got_x = _ascend(T, space, x0, np.random.default_rng(seed))
+    assert got_f == want_f
+    assert np.array_equal(got_x, want_x)
+
+
+class TestFusedAscent:
+    """Evaluating each point once must not move a single bit of any start."""
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_matches_unfused_ascent(self, rng, field, r, p):
+        sp = lr(3, r, field)
+        T = random_tuple(2, 3, field, p, rng)
+        unit = OperatorTuple(T.matrices / T.max_entry(), p=T.p, field=T.field)
+        for k in range(8):
+            start = np.random.default_rng([0, k])
+            _assert_same_ascent(unit, sp, random_unit_vector(sp, start), [0, k])
+
+    def test_matches_unfused_ascent_at_tiny_coordinate(self):
+        T = single([[1.0, 2.0], [3.0, 4.0]])
+        unit = OperatorTuple(T.matrices / T.max_entry(), p=T.p, field=T.field)
+        _assert_same_ascent(unit, lr(2, 1.5), np.array([1.0, 1e-200]), 0)
+
+    def test_gradient_never_evaluates_the_objective(self, rng, monkeypatch):
+        module = sys.modules["jointradius.radius"]
+        gradient, objective = module._gradient, module._objective
+        inside, leaks = [], []
+
+        def watched_gradient(*args):
+            inside.append(True)
+            try:
+                return gradient(*args)
+            finally:
+                inside.pop()
+
+        def watched_objective(*args):
+            leaks.append(bool(inside))
+            return objective(*args)
+
+        monkeypatch.setattr(module, "_gradient", watched_gradient)
+        monkeypatch.setattr(module, "_objective", watched_objective)
+        T = random_tuple(2, 3, COMPLEX, 1.5, rng)
+        radius_smooth(T, lr(3, 1.5, COMPLEX), starts=4, seed=0)
+        assert leaks and not any(leaks)
+
+
+class TestAttainTolRange:
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, 1.0, 2.0, math.nan, math.inf])
+    def test_exact_rejects(self, tol):
+        with pytest.raises(ValueError, match="attaining tolerance"):
+            radius_exact(single(np.diag([1.0, -1.0])), linf(2), attain_tol=tol)
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, 1.0, 2.0, math.nan, math.inf])
+    def test_smooth_rejects(self, tol):
+        with pytest.raises(ValueError, match="attaining tolerance"):
+            radius_smooth(single(np.diag([1.0, -1.0])), hilbert(2, REAL), starts=2, attain_tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, 0.5, 1.0 - 2**-53])
+    def test_both_accept_the_closed_open_range(self, tol):
+        T = single(np.diag([1.0, -1.0]))
+        assert radius_exact(T, linf(2), attain_tol=tol).value == 1.0
+        assert radius_smooth(T, hilbert(2, REAL), starts=2, attain_tol=tol).value == pytest.approx(1.0)
 
 
 def _reference_dedup(pairs, field, tol):

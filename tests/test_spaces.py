@@ -25,6 +25,7 @@ from jointradius import (
     space_from_json,
     space_to_json,
 )
+from jointradius.spaces import lp_norm
 from conftest import hilbert, l1, linf, lr, random_polygon_space
 
 
@@ -49,6 +50,45 @@ class TestNormEval:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             norm_eval(lr(2, 2.0), [1.0, 2.0, 3.0])
+
+
+def _numpy_lp_norm(z, p):
+    """lp_norm with numpy's reductions at every length."""
+    a = np.abs(z)
+    m = a.max()
+    if not 0.0 < m < math.inf:
+        return float(m)
+    a /= m
+    a **= p
+    return float(m * a.sum() ** (1.0 / p))
+
+
+class TestLpNorm:
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("p", [1.01, 2.0, 80.0, 1e4])
+    def test_bit_identical_to_numpy_reductions(self, rng, field, p):
+        for n in range(1, 13):
+            for scale in (1e-150, 1.0, 1e150):
+                for _ in range(20):
+                    z = rng.standard_normal(n) * scale
+                    if field == COMPLEX:
+                        z = z + 1j * rng.standard_normal(n) * scale
+                    assert lp_norm(z, p) == _numpy_lp_norm(z, p)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_zero_inf_and_nan(self, n):
+        assert lp_norm(np.zeros(n), 2.0) == 0.0
+        for k in range(n):
+            z = np.ones(n)
+            z[k] = math.inf
+            assert lp_norm(z, 2.0) == math.inf
+            # Python's max([1.0, nan]) is 1.0, so a NaN after the first entry
+            # must come through the sum
+            z[k] = math.nan
+            assert math.isnan(lp_norm(z, 2.0))
+            if n > 1:  # a NaN beside an inf, on either side of it
+                z[(k + 1) % n] = math.inf
+                assert math.isnan(lp_norm(z, 2.0))
 
 
 class TestDualNormEval:
