@@ -18,7 +18,6 @@ from .errors import (
 )
 from .lp import HullProblem, HullResult, hull_membership
 from .optuples import (
-    CoefficientVector,
     OperatorTuple,
     aggregate,
     pair_image,
@@ -56,7 +55,6 @@ from .radius import (
 from .spaces import (
     COMPLEX,
     REAL,
-    UNBOUNDED,
     LpNorm,
     NormingPair,
     Polyhedral,

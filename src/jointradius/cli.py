@@ -28,7 +28,7 @@ from .optuples import OperatorTuple, _entry_to_json, tuple_from_json
 from .oracle import audit
 from .orth import TupleSubspace, orth_scalar, orth_subspace
 from .radius import DEFAULT_STARTS, radius
-from .spaces import UNBOUNDED, SpaceDescriptor, extreme_points, space_from_json
+from .spaces import SpaceDescriptor, extreme_points, space_from_json
 from .subdiff import gateaux_one_sided, generators, smoothness
 
 MATH_ERRORS = (ZeroRadius, DependentDirection, EmptyBasis, InvalidCertificate)
@@ -99,7 +99,7 @@ def _pair_json(pair, field: str) -> dict:
 
 
 def _generator_json(gen, field: str) -> dict:
-    return {**_pair_json(gen.pair, field), "alpha": _vector_json(gen.alpha.alpha, field)}
+    return {**_pair_json(gen.pair, field), "alpha": _vector_json(gen.alpha, field)}
 
 
 def _orbits_json(rr, field):
@@ -191,10 +191,9 @@ def _cmd_orth(problem, args):
 
 
 def _cmd_extremes(problem, args):
-    ext = extreme_points(problem.space)
-    if ext is UNBOUNDED:
+    if problem.space.is_smooth_lp:
         return {"unbounded": True}
-    primal, dual = ext
+    primal, dual = extreme_points(problem.space)
     return {
         "unbounded": False,
         "primal": primal.tolist(),

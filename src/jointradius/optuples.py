@@ -74,17 +74,6 @@ class OperatorTuple:
         return float(np.max(np.abs(self.matrices)))
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", np.asarray(self.alpha))
-
-    def q_norm(self, q: float) -> float:
-        return lp_norm(self.alpha, q)
-
-
 def pair_image(T: OperatorTuple, pair: NormingPair) -> np.ndarray:
     """Vector (x*(T_i x))_i of length d."""
     x = np.asarray(pair.x)
@@ -98,7 +87,7 @@ def aggregate(T: OperatorTuple, pair: NormingPair) -> float:
     return lp_norm(pair_image(T, pair), T.p)
 
 
-def subdiff_coefficients(T: OperatorTuple, pair: NormingPair, w: float) -> CoefficientVector:
+def subdiff_coefficients(T: OperatorTuple, pair: NormingPair, w: float) -> np.ndarray:
     """Coefficient vector alpha_i = conj(z_i)|z_i|^(p-2) / w^(p-1)."""
     if w <= 0:
         raise ValueError("subdifferential coefficients need w > 0")
@@ -106,15 +95,12 @@ def subdiff_coefficients(T: OperatorTuple, pair: NormingPair, w: float) -> Coeff
     val = lp_norm(z, T.p)
     if abs(val - w) > ATTAINING_TOL * w:
         warnings.warn("pair does not attain the radius; coefficients are diagnostic only")
-    alpha = _signed_power(z / w, T.p - 2.0)  # equals conj(z)|z|^(p-2) / w^(p-1)
-    return CoefficientVector(alpha)
+    return _signed_power(z / w, T.p - 2.0)  # equals conj(z)|z|^(p-2) / w^(p-1)
 
 
-def rank_one_tuple(
-    space: SpaceDescriptor, pair: NormingPair, alpha: CoefficientVector, p: float = 2.0
-) -> OperatorTuple:
+def rank_one_tuple(space: SpaceDescriptor, pair: NormingPair, alpha, p: float = 2.0) -> OperatorTuple:
     """Tuple T_i = conj(a_i)|a_i|^(q-2) (x*(.) x); its joint radius is 1."""
-    a = np.asarray(alpha.alpha)
+    a = np.asarray(alpha)
     if np.all(a == 0):
         raise ValueError("alpha must be nonzero")
     q = p / (p - 1.0)

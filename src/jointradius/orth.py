@@ -18,7 +18,7 @@ from .errors import DependentDirection, EmptyBasis, InvalidCertificate
 from .lp import HullProblem, hull_membership
 from .optuples import OperatorTuple
 from .radius import RadiusResult
-from .spaces import COMPLEX, SpaceDescriptor
+from .spaces import SpaceDescriptor
 from .subdiff import apply, generators
 
 LP_TOL = 1e-9
@@ -70,14 +70,9 @@ def _rows(T: OperatorTuple, V: TupleSubspace, space: SpaceDescriptor, rr: Radius
     return np.array([[apply(g, S) for S in V.basis] for g in generators(T, space, rr)])
 
 
-def _realify(rows: np.ndarray, field: str) -> np.ndarray:
-    if field == COMPLEX or np.iscomplexobj(rows):
-        return np.hstack([np.real(rows), np.imag(rows)])
-    return np.real(rows)
-
-
-def _decide(rows: np.ndarray, field: str, rr: RadiusResult, ref: float) -> OrthResult:
-    points = _realify(rows, field)
+def _decide(rows: np.ndarray, rr: RadiusResult, ref: float) -> OrthResult:
+    # rows are complex exactly on complex-field data; split them into [Re | Im]
+    points = np.hstack([rows.real, rows.imag]) if np.iscomplexobj(rows) else rows
     scale = float(np.max(np.abs(points)))
     approximate = not rr.exhaustive
     if scale <= LP_TOL * ref:
@@ -114,7 +109,7 @@ def orth_subspace(
     T._check_compatible(V.basis[0])
     _check_subspace_independent(T, V)
     ref = max(S.max_entry() for S in V.basis)
-    return _decide(_rows(T, V, space, rr), space.field, rr, ref)
+    return _decide(_rows(T, V, space, rr), rr, ref)
 
 
 def verify_certificate(

@@ -117,14 +117,17 @@ def _degenerate(value: float, T: OperatorTuple) -> bool:
     return surrogate > 0 and value <= 1e-12 * surrogate
 
 
-def _build_attaining(scored, field: str, exhaustive: bool, rel_tol: float):
-    """scored: list of (value, pair), already ordered deterministically.
+def _check_attain_tol(rel_tol: float) -> None:
+    """Reject an attaining tolerance (relative to the best value) outside [0, 1).
 
-    rel_tol is the attaining tolerance, relative to the best value; it must
-    lie in [0, 1) (a NaN fails that test).
+    A NaN fails the test too.  Both methods call this before any solve.
     """
     if not 0.0 <= rel_tol < 1.0:
         raise ValueError(f"attaining tolerance must satisfy 0 <= tol < 1, got {rel_tol}")
+
+
+def _build_attaining(scored, field: str, exhaustive: bool, rel_tol: float):
+    """scored: list of (value, pair), already ordered deterministically."""
     best = max(v for v, _ in scored)
     cut = best - rel_tol * max(best, 0.0)
     near = [(v, pr) for v, pr in scored if v >= cut]
@@ -140,6 +143,7 @@ def radius_exact(
     attain_tol: float = ATTAIN_TOL_EXACT,
 ) -> RadiusResult:
     """Exact radius by enumeration of admissible extreme pairs."""
+    _check_attain_tol(attain_tol)
     pairs = admissible_pairs(space)
     scored = [(aggregate(T, pr), pr) for pr in pairs]
     value, attaining = _build_attaining(scored, space.field, True, attain_tol)
@@ -262,6 +266,7 @@ def radius_smooth(
         raise Unsupported("radius_smooth requires an l_r space with 1 < r < inf")
     if starts < 1:
         raise ValueError("starts must be >= 1")
+    _check_attain_tol(attain_tol)
     # the ascent's step cap and stop test are not scale-free, so it runs on
     # T / max|T_ij| (a division: 1/m overflows for subnormal m)
     m = T.max_entry() or 1.0

@@ -40,13 +40,6 @@ def conjugate_exponent(r: float) -> float:
     return r / (r - 1.0)
 
 
-def pairing(u: np.ndarray, z: np.ndarray) -> complex | float:
-    """Apply the functional u to z under the fixed conjugation convention."""
-    if np.iscomplexobj(u) or np.iscomplexobj(z):
-        return complex(np.vdot(u, z))
-    return float(np.dot(u, z))
-
-
 @dataclass(frozen=True)
 class LpNorm:
     r: float  # in [1, inf]
@@ -60,16 +53,6 @@ class LpNorm:
 class Polyhedral:
     primal_extremes: tuple  # tuple of real vectors
     dual_extremes: tuple
-
-
-class _UnboundedType:
-    """Sentinel: the extreme point set is the whole unit sphere."""
-
-    def __repr__(self):
-        return "UNBOUNDED"
-
-
-UNBOUNDED = _UnboundedType()
 
 
 @dataclass(frozen=True)
@@ -117,11 +100,8 @@ class SpaceDescriptor:
     def is_smooth_lp(self) -> bool:
         return isinstance(self.norm, LpNorm) and 1 < self.norm.r < math.inf
 
-    def dtype(self):
-        return complex if self.field == COMPLEX else float
-
     def as_vector(self, v) -> np.ndarray:
-        out = np.asarray(v, dtype=self.dtype())
+        out = np.asarray(v, dtype=complex if self.field == COMPLEX else float)
         if out.shape != (self.dim,):
             raise DimensionMismatch(f"expected vector of length {self.dim}, got shape {out.shape}")
         return out
@@ -135,7 +115,8 @@ class NormingPair:
     x_star: np.ndarray
 
     def functional(self, z: np.ndarray) -> complex | float:
-        return pairing(self.x_star, z)
+        """x*(z) under the conjugation convention."""
+        return np.vdot(self.x_star, z).item()
 
     def validate(self, space: SpaceDescriptor, tol: float = PAIR_TOL) -> None:
         if abs(norm_eval(space, self.x) - 1.0) > tol:
@@ -213,27 +194,26 @@ def extreme_points(space: SpaceDescriptor):
     """Extreme points of the primal and dual unit balls.
 
     Returns (primal, dual) 2-D float arrays, one point per row, for
-    polyhedral spaces and real l_1/l_inf; returns UNBOUNDED for strictly
-    convex l_r (the whole sphere).  On l_1/l_inf the unit vectors come in
-    the order e_1, -e_1, e_2, -e_2, ... and the sign vectors in the order of
-    itertools.product((1, -1), repeat=n).
+    polyhedral spaces and real l_1/l_inf; raises Unsupported on strictly
+    convex l_r, where every unit vector is extreme.  On l_1/l_inf the unit
+    vectors come in the order e_1, -e_1, e_2, -e_2, ... and the sign vectors
+    in the order of itertools.product((1, -1), repeat=n).
     """
     if isinstance(space.norm, Polyhedral):
         return (
             np.array(space.norm.primal_extremes, dtype=float),
             np.array(space.norm.dual_extremes, dtype=float),
         )
-    r = space.norm.r
-    if 1 < r < math.inf:
-        return UNBOUNDED
+    if space.is_smooth_lp:
+        raise Unsupported("every unit vector of a strictly convex l_r is extreme")
     if space.field != REAL:
         raise Unsupported("extreme structure of complex l_1/l_inf is not implemented")
     n = space.dim
     if n > SIGN_ENUM_CAP:
         raise Unsupported(f"sign-vector enumeration capped at dim {SIGN_ENUM_CAP}")
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
-    units = np.kron(np.eye(n), [[1.0], [-1.0]])
-    return (units, signs) if r == 1 else (signs, units)
+    units = np.kron(np.eye(n), [[1.0], [-1.0]]) + 0.0  # kron leaves -0.0 in the -e_k rows
+    return (units, signs) if space.norm.r == 1 else (signs, units)
 
 
 def duality_map(space: SpaceDescriptor, x) -> list[NormingPair]:
@@ -256,10 +236,7 @@ def admissible_pairs(space: SpaceDescriptor) -> list[NormingPair]:
     Pairs come primal-major: all functionals of the first primal extreme,
     then those of the second, and so on.
     """
-    ext = extreme_points(space)
-    if ext is UNBOUNDED:
-        raise Unsupported("admissible pairs need finite extreme-point lists")
-    primal, dual = ext
+    primal, dual = extreme_points(space)
     rows, cols = np.nonzero(np.abs(primal @ dual.T - 1.0) <= DESCRIPTOR_TOL)
     if len(rows) == 0:
         raise InvalidDescriptor("no admissible pairs: inconsistent descriptor")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optuples import CoefficientVector, OperatorTuple, pair_image, subdiff_coefficients
+from .optuples import OperatorTuple, pair_image, subdiff_coefficients
 from .radius import RadiusResult, _require_positive
 from .spaces import NormingPair, SpaceDescriptor
 
@@ -27,7 +27,7 @@ VALUE_WINDOW = 1e-8  # relative window for competing orbit values
 @dataclass(frozen=True)
 class SubdiffGenerator:
     pair: NormingPair
-    alpha: CoefficientVector
+    alpha: np.ndarray  # unit vector of l_q
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def apply(gen: SubdiffGenerator, S: OperatorTuple):
 
     A float for real data, a complex for complex data.
     """
-    return np.dot(gen.alpha.alpha, pair_image(S, gen.pair)).item()
+    return np.dot(gen.alpha, pair_image(S, gen.pair)).item()
 
 
 def gateaux_one_sided(

@@ -11,7 +11,6 @@ import pytest
 from jointradius import (
     COMPLEX,
     REAL,
-    CoefficientVector,
     DependentDirection,
     HullProblem,
     OperatorTuple,
@@ -207,7 +206,7 @@ def test_criterion_7_rank_one_generator(capsys):
         if sp.field == COMPLEX:
             a = a + 1j * rng.standard_normal(d)
         q = p / (p - 1.0)
-        alpha = CoefficientVector(a / np.linalg.norm(a, ord=q))
+        alpha = np.array(a / np.linalg.norm(a, ord=q))
         T = rank_one_tuple(sp, pair, alpha, p=p)
         ok &= abs(aggregate(T, pair) - 1.0) <= 1e-9  # the defining pair attains
         if sp.field == REAL and not sp.is_smooth_lp:

@@ -157,6 +157,14 @@ class TestOtherCommands:
         assert data["unbounded"] is False
         assert len(data["primal"]) == 4
 
+    @pytest.mark.parametrize("r", [1, "inf"])
+    def test_extremes_print_no_negative_zero(self, capsys, tmp_path, r):
+        space = {"field": "real", "dim": 3, "norm": {"kind": "lp", "r": r}}
+        tup = {"d": 1, "matrices": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}
+        code, out, _ = run(capsys, "extremes", write_problem(tmp_path, {"space": space, "tuple": tup}))
+        assert code == 0
+        assert "-0.0" not in out
+
     def test_extremes_unbounded(self, capsys):
         code, out, _ = run(capsys, "extremes", prob("hilbert_smooth.json"))
         assert code == 0

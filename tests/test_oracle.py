@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+
+import jointradius.oracle
 
 from jointradius import (
     COMPLEX,
@@ -9,6 +13,7 @@ from jointradius import (
     fd_gateaux,
     generators,
     lambda_sweep,
+    radius,
     radius_exact,
     radius_smooth,
     random_tuple,
@@ -148,3 +153,46 @@ class TestAudit:
         rr = radius_exact(T, sp)
         report = audit(T, sp, rr, [], seed=0)
         assert report.passed
+
+    def test_rejects_no_trials(self):
+        sp = linf(2)
+        T = single(np.diag([1.0, 0.5]))
+        rr = radius_exact(T, sp)
+        with pytest.raises(ValueError, match="trials"):
+            audit(T, sp, rr, generators(T, sp, rr), trials=0)
+
+    def test_each_trial_is_solved_once(self, monkeypatch):
+        # identity on real l_inf(3) attains on 12 orbits; their generators share the trials
+        sp = linf(3)
+        T = single(np.eye(3))
+        rr = radius_exact(T, sp)
+        gens = generators(T, sp, rr)
+        assert len(gens) == 12
+        solved = []
+        original = jointradius.oracle.radius
+
+        def recording(*args, **kwargs):
+            solved.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(jointradius.oracle, "radius", recording)
+        assert audit(T, sp, rr, gens, seed=0, trials=5, samples=500).passed
+        assert len(solved) == 5
+
+
+class TestAuditScale:
+    @pytest.mark.parametrize("c", [1.0, 1e150, 1e-150])
+    @pytest.mark.parametrize("sp", [lr(3, 2.0), linf(3)], ids=["l2", "linf"])
+    def test_correct_passes_and_doubled_alpha_fails(self, sp, c):
+        T = random_tuple(2, 3, REAL, 3.0, np.random.default_rng(5)).scaled(c)
+        rr = radius(T, sp, starts=8, seed=0)
+        gens = generators(T, sp, rr)
+        kwargs = dict(seed=0, trials=5, starts=8, samples=2000)
+        report = audit(T, sp, rr, gens, **kwargs)
+        assert report.passed
+        bounds = {ch.name: ch.bound for ch in report.checks}
+        assert bounds["sampled_radius_dominated"] == 1e-12 * rr.value
+        assert bounds["generator_attains"] == 1e-9 * rr.value
+        doubled = [dataclasses.replace(g, alpha=2 * g.alpha) for g in gens]
+        failed = {ch.name for ch in audit(T, sp, rr, doubled, **kwargs).checks if ch.status == "fail"}
+        assert {"generator_attains", "generator_norm_one"} <= failed

@@ -165,7 +165,7 @@ class TestScaleSafety:
         assert smoothness(T, sp, rr).verdict == smoothness(unit_T, sp, unit).verdict == "Smooth"
         (gen,) = generators(T, sp, rr)
         (unit_gen,) = generators(unit_T, sp, unit)
-        np.testing.assert_allclose(gen.alpha.alpha, unit_gen.alpha.alpha, rtol=1e-12)
+        np.testing.assert_allclose(gen.alpha, unit_gen.alpha, rtol=1e-12)
 
     @pytest.mark.parametrize("c", [1e150, 1e-150])
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -392,6 +392,19 @@ class TestAttainTolRange:
     def test_smooth_rejects(self, tol):
         with pytest.raises(ValueError, match="attaining tolerance"):
             radius_smooth(single(np.diag([1.0, -1.0])), hilbert(2, REAL), starts=2, attain_tol=tol)
+
+    @pytest.mark.parametrize("tol", [-1.0, 1.0, math.nan])
+    def test_rejected_before_any_solve(self, monkeypatch, tol):
+        def solve(*args, **kwargs):
+            raise AssertionError("the solve ran before the tolerance check")
+
+        monkeypatch.setattr(sys.modules["jointradius.radius"], "_ascend", solve)
+        monkeypatch.setattr(sys.modules["jointradius.radius"], "aggregate", solve)
+        T = single(np.diag([1.0, -1.0]))
+        with pytest.raises(ValueError, match="attaining tolerance"):
+            radius_exact(T, linf(2), attain_tol=tol)
+        with pytest.raises(ValueError, match="attaining tolerance"):
+            radius_smooth(T, hilbert(2, REAL), starts=2, attain_tol=tol)
 
     @pytest.mark.parametrize("tol", [0.0, 0.5, 1.0 - 2**-53])
     def test_both_accept_the_closed_open_range(self, tol):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from jointradius import (
     COMPLEX,
     REAL,
-    UNBOUNDED,
     DimensionMismatch,
     InvalidDescriptor,
     LpNorm,
@@ -145,7 +144,8 @@ class TestExtremePoints:
         assert sorted(map(tuple, dual)) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 
     def test_strictly_convex_unbounded(self):
-        assert extreme_points(lr(4, 3.0)) is UNBOUNDED
+        with pytest.raises(Unsupported):
+            extreme_points(lr(4, 3.0))
 
     def test_complex_l1_unsupported(self):
         with pytest.raises(Unsupported):
@@ -162,6 +162,11 @@ class TestExtremePoints:
         units, signs = extreme_points(l1(2))
         np.testing.assert_array_equal(units, [[1, 0], [-1, 0], [0, 1], [0, -1]])
         np.testing.assert_array_equal(signs, [[1, 1], [1, -1], [-1, 1], [-1, -1]])
+
+    @pytest.mark.parametrize("make", [l1, linf])
+    def test_no_negative_zeros(self, make):
+        for E in extreme_points(make(4)):
+            assert not np.any(np.signbit(E[E == 0]))
 
 
 class TestAdmissiblePairs:

@@ -29,7 +29,7 @@ class TestGenerators:
         gens = generators(T, sp, rr)
         assert len(gens) == 2
         for g in gens:
-            np.testing.assert_allclose(g.alpha.alpha, [1.0])
+            np.testing.assert_allclose(g.alpha, [1.0])
 
     def test_generator_attains_radius(self, rng):
         sp = linf(2)
