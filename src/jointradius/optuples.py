@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidDescriptor
 from .spaces import COMPLEX, REAL, NormingPair, SpaceDescriptor, _signed_power, lp_norm
 
-ATTAINING_TOL = 1e-6  # relative gap at which subdiff_coefficients warns
+ATTAINING_TOL = 1e-6  # relative gap at which coefficient_rows warns
 
 
 @dataclass(frozen=True)
@@ -82,20 +82,37 @@ def pair_image(T: OperatorTuple, pair: NormingPair) -> np.ndarray:
     return (T.matrices @ x) @ np.conj(pair.x_star)
 
 
+def pair_images(T: OperatorTuple, X: np.ndarray, XS: np.ndarray) -> np.ndarray:
+    """(m, d) array of x_k*(T_i x_k) for the pairs (X[k], XS[k]), in one array pass."""
+    if X.shape[1:] != (T.n,):
+        raise DimensionMismatch("pair dimension does not match the tuple")
+    return np.einsum("ijk,kj->ki", T.matrices @ X.T, np.conj(XS))
+
+
 def aggregate(T: OperatorTuple, pair: NormingPair) -> float:
     """l_p norm of the pair image; the radius objective at one pair."""
     return lp_norm(pair_image(T, pair), T.p)
 
 
-def subdiff_coefficients(T: OperatorTuple, pair: NormingPair, w: float) -> np.ndarray:
-    """Coefficient vector alpha_i = conj(z_i)|z_i|^(p-2) / w^(p-1)."""
+def coefficient_rows(T: OperatorTuple, X: np.ndarray, XS: np.ndarray, w: float) -> np.ndarray:
+    """Row k is the coefficient vector of the pair (X[k], XS[k]):
+    alpha_i = conj(z_i)|z_i|^(p-2) / w^(p-1) with z = (x*(T_i x))_i.
+
+    Warns once when some pair's l_p value is more than ATTAINING_TOL * w
+    from w, that is, when it does not attain the radius w.  The test runs on
+    z / w, whose l_p norm is near 1 at any scale of T.
+    """
     if w <= 0:
         raise ValueError("subdifferential coefficients need w > 0")
-    z = pair_image(T, pair)
-    val = lp_norm(z, T.p)
-    if abs(val - w) > ATTAINING_TOL * w:
+    Zw = pair_images(T, X, XS) / w
+    if np.any(np.abs(np.sum(np.abs(Zw) ** T.p, axis=1) ** (1.0 / T.p) - 1.0) > ATTAINING_TOL):
         warnings.warn("pair does not attain the radius; coefficients are diagnostic only")
-    return _signed_power(z / w, T.p - 2.0)  # equals conj(z)|z|^(p-2) / w^(p-1)
+    return _signed_power(Zw, T.p - 2.0)  # equals conj(z)|z|^(p-2) / w^(p-1)
+
+
+def subdiff_coefficients(T: OperatorTuple, pair: NormingPair, w: float) -> np.ndarray:
+    """Coefficient vector of one pair: the one-row case of `coefficient_rows`."""
+    return coefficient_rows(T, np.asarray(pair.x)[None], np.asarray(pair.x_star)[None], w)[0]
 
 
 def rank_one_tuple(space: SpaceDescriptor, pair: NormingPair, alpha, p: float = 2.0) -> OperatorTuple:

@@ -19,7 +19,7 @@ from .lp import HullProblem, hull_membership
 from .optuples import OperatorTuple
 from .radius import RadiusResult
 from .spaces import SpaceDescriptor
-from .subdiff import apply, generators
+from .subdiff import evaluate, generators
 
 LP_TOL = 1e-9
 DEPENDENT_TOL = 1e-10
@@ -67,7 +67,7 @@ def _check_subspace_independent(T: OperatorTuple, V: TupleSubspace) -> None:
 
 def _rows(T: OperatorTuple, V: TupleSubspace, space: SpaceDescriptor, rr: RadiusResult):
     """One constraint row per attaining orbit: its generator applied to each basis tuple."""
-    return np.array([[apply(g, S) for S in V.basis] for g in generators(T, space, rr)])
+    return evaluate(generators(T, space, rr), V.basis)
 
 
 def _decide(rows: np.ndarray, rr: RadiusResult, ref: float) -> OrthResult:

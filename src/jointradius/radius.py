@@ -75,41 +75,111 @@ def _require_positive(rr: RadiusResult) -> None:
         raise ZeroRadius("operation requires a positive joint radius")
 
 
+_PAIR_CHUNK = 1 << 15  # candidate pairs tested per array operation
+
+
+def _key_weights(m: int) -> np.ndarray:
+    """2m - 1 fixed pseudo-random weights in [0.5, 1), from a sine hash.
+
+    With no small integer relations among them, distinct orbits rarely share
+    a key; a shared key only widens a window.  A hash, not numpy.random:
+    the exact path never imports that module, whose import costs about
+    20 ms in every CLI process.
+    """
+    return 0.5 + 0.5 * ((np.sin(np.arange(1.0, 2 * m)) * 43758.5453) % 1.0)
+
+
+def _orbit_keys(V: np.ndarray) -> np.ndarray:
+    """Phase-invariant key of each row v = (x, x*) of V.
+
+    h(v) = sum_k w_k Re(v_k conj v_{k+1}) + sum_k w'_k |v_k|^2 with fixed
+    weights in [0.5, 1): a Hermitian form Re(v^H R v) with ||R||_2 <= 2,
+    unchanged by v -> mu v for |mu| = 1.
+    """
+    m = V.shape[1]
+    w = _key_weights(m)
+    cross = np.real(V[:, :-1] * np.conj(V[:, 1:]))
+    return cross @ w[: m - 1] + (np.abs(V) ** 2) @ w[m - 1 :]
+
+
+def _key_window(tol: float, vmax: float, m: int) -> float:
+    """Largest key gap between orbit mates within tol in x and in x*.
+
+    For v' = mu v + e with ||e|| <= sqrt(2) tol, |h(v') - h(v)| =
+    |Re((v' - mu v)^H R (v' + mu v))| <= 2 sqrt(2) tol * 2 vmax, where vmax
+    bounds ||v||.  The factor 6 rounds 4 sqrt(2) up; the second term covers
+    the rounding of two keys of m coordinates (|h| <= 2 vmax^2).
+    """
+    return 6.0 * tol * vmax + 4.0 * (m + 8) * np.finfo(float).eps * vmax * vmax
+
+
+def _mates(X, XS, K, lead, f, c, field: str, tol: float) -> np.ndarray:
+    """Whether candidate c is within tol of a unimodular multiple of founder f, per entry.
+
+    The phase mu is aligned on the founder's largest coordinate.
+    """
+    a, b = lead[f], X[c, K[f]]
+    ok = np.abs(b) >= 1e-300
+    if field == COMPLEX:
+        mu = b * np.conj(a)
+        mod = np.abs(mu)
+        ok &= mod >= 1e-300
+        mu = mu / np.where(ok, mod, 1.0)
+    else:
+        mu = np.where(a * b >= 0, 1.0, -1.0)
+    # stored functionals are applied with a conjugation, so the mate of
+    # (x, x*) under phase mu is (mu x, mu x*) in stored coordinates
+    mu = mu[:, None]
+    ok &= np.linalg.norm(mu * X[f] - X[c], axis=1) <= tol
+    ok &= np.linalg.norm(mu * XS[f] - XS[c], axis=1) <= tol
+    return ok
+
+
 def orbit_dedup(pairs, field: str, tol: float = ORBIT_TOL):
     """Greedy clustering of norming pairs into unimodular orbits.
 
     A candidate joins an orbit when a phase mu (sign for the real field)
     aligned on the founder's largest coordinate maps the founder onto it
-    within tol in both components.  Each candidate is compared with all
-    founders so far in one array operation.  Founders keep their input
-    order, so the output is deterministic.
+    within tol in both components.  Founders keep their input order, so the
+    output is deterministic.
+
+    Mates are found through the phase-invariant key `_orbit_keys`: pairs are
+    sorted on it, and the exact test runs, in one array pass, only on pairs
+    whose keys lie within `_key_window` of each other.  A greedy pass over
+    those matches then picks the founders a candidate-by-candidate scan of
+    all founders would pick.  Keys that collide only widen the tested set.
     """
     if not pairs:
         return []
     X = np.array([pr.x for pr in pairs])
     XS = np.array([pr.x_star for pr in pairs])
+    N = len(pairs)
     K = np.argmax(np.abs(X), axis=1)
-    lead = X[np.arange(len(pairs)), K]  # each pair's own largest coordinate
-    reps: list[int] = []
-    for j in range(len(pairs)):
-        F = np.array(reps, dtype=int)
-        a, b = lead[F], X[j, K[F]]
-        ok = np.abs(b) >= 1e-300
-        if field == COMPLEX:
-            mu = b * np.conj(a)
-            mod = np.abs(mu)
-            ok &= mod >= 1e-300
-            mu = mu / np.where(ok, mod, 1.0)
-        else:
-            mu = np.where(a * b >= 0, 1.0, -1.0)
-        # stored functionals are applied with a conjugation, so the mate of
-        # (x, x*) under phase mu is (mu x, mu x*) in stored coordinates
-        mu = mu[:, None]
-        ok &= np.linalg.norm(mu * X[F] - X[j], axis=1) <= tol
-        ok &= np.linalg.norm(mu * XS[F] - XS[j], axis=1) <= tol
-        if not ok.any():
-            reps.append(j)
-    return [pairs[i] for i in reps]
+    lead = X[np.arange(N), K]  # each pair's own largest coordinate
+    V = np.hstack([X, XS])
+    keys = _orbit_keys(V)
+    norms = np.linalg.norm(V, axis=1)
+    vmax = float(np.max(norms, initial=0.0, where=np.isfinite(norms)))
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    # sorted position s is tested against the positions lo[s], ..., s - 1
+    lo = np.searchsorted(sk, sk - _key_window(tol, vmax, V.shape[1]), side="left")
+    cnt = np.arange(N) - lo
+    s = np.repeat(np.arange(N), cnt)
+    t = np.arange(len(s)) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
+    f = np.minimum(order[s], order[t])  # each pair is tested with the earlier one as founder
+    c = np.maximum(order[s], order[t])
+    ok = np.zeros(len(f), dtype=bool)
+    for i in range(0, len(f), _PAIR_CHUNK):  # bounded memory when many keys collide
+        part = slice(i, i + _PAIR_CHUNK)
+        ok[part] = _mates(X, XS, K, lead, f[part], c[part], field, tol)
+    mates = [[] for _ in range(N)]
+    for fi, ci in zip(f[ok].tolist(), c[ok].tolist()):
+        mates[ci].append(fi)
+    founder = [False] * N
+    for j in range(N):
+        founder[j] = not any(founder[i] for i in mates[j])
+    return [pr for pr, keep in zip(pairs, founder) if keep]
 
 
 def _degenerate(value: float, T: OperatorTuple) -> bool:

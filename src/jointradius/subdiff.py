@@ -5,6 +5,8 @@ combination of rank-one generators built from attaining extreme pairs;
 this module emits one generator per unimodular orbit (orbit-mates induce
 the same functional), evaluates them, and derives the one-sided
 derivative range and the smoothness verdict from the orbit structure.
+The rows x*(S_i x) of all orbit representatives are built as one stacked
+array (`pair_images`), for the coefficients and for every direction.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optuples import OperatorTuple, pair_image, subdiff_coefficients
+from .optuples import OperatorTuple, coefficient_rows, pair_images
 from .radius import RadiusResult, _require_positive
 from .spaces import NormingPair, SpaceDescriptor
 
@@ -50,23 +52,37 @@ class SmoothnessReport:
 
 
 def generators(T: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult):
-    """One subdifferential generator per attaining orbit representative."""
+    """One subdifferential generator per attaining orbit representative.
+
+    All coefficient vectors come from one stacked expression,
+    `coefficient_rows`, which warns when a representative does not attain
+    the radius within 1e-6 relative.
+    """
     _require_positive(rr)
-    return [
-        SubdiffGenerator(
-            pair=orb.representative,
-            alpha=subdiff_coefficients(T, orb.representative, rr.value),
-        )
-        for orb in rr.attaining.orbits
-    ]
+    reps = [orb.representative for orb in rr.attaining.orbits]
+    alpha = coefficient_rows(T, *_stack_pairs(reps), rr.value)
+    return [SubdiffGenerator(pair=pr, alpha=a) for pr, a in zip(reps, alpha)]
+
+
+def _stack_pairs(pairs):
+    return np.array([pr.x for pr in pairs]), np.array([pr.x_star for pr in pairs])
+
+
+def evaluate(gens, directions) -> np.ndarray:
+    """Matrix of f_k(S) = sum_i alpha_i x*(S_i x), one row per generator f_k
+    and one column per direction S, each column in one array pass."""
+    alpha = np.array([g.alpha for g in gens])
+    X, XS = _stack_pairs([g.pair for g in gens])
+    return np.column_stack([np.sum(alpha * pair_images(S, X, XS), axis=1) for S in directions])
 
 
 def apply(gen: SubdiffGenerator, S: OperatorTuple):
     """Evaluate the generator functional: sum_i alpha_i x*(S_i x).
 
-    A float for real data, a complex for complex data.
+    The one-entry case of `evaluate`: a float for real data, a complex for
+    complex data.
     """
-    return np.dot(gen.alpha, pair_image(S, gen.pair)).item()
+    return evaluate([gen], [S])[0, 0].item()
 
 
 def gateaux_one_sided(
@@ -81,7 +97,7 @@ def gateaux_one_sided(
     """
     gens = generators(T, space, rr)
     T._check_compatible(S)
-    cs = tuple(apply(g, S).real for g in gens)
+    cs = tuple(evaluate(gens, [S])[:, 0].real.tolist())
     return GateauxReport(g_plus=max(cs), g_minus=min(cs), c_values=cs, exhaustive=rr.exhaustive)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import jointradius.oracle
+import jointradius.subdiff
 
 from jointradius import (
     COMPLEX,
@@ -178,6 +179,26 @@ class TestAudit:
         monkeypatch.setattr(jointradius.oracle, "radius", recording)
         assert audit(T, sp, rr, gens, seed=0, trials=5, samples=500).passed
         assert len(solved) == 5
+
+
+    @pytest.mark.parametrize("sp", [linf(3), hilbert(2)], ids=["linf", "complex-l2"])
+    def test_independent_of_subdiff_evaluation(self, monkeypatch, sp):
+        # the audit computes generator values itself, so a broken subdiff
+        # formula cannot pass its own audit
+        field = REAL if sp.field == REAL else COMPLEX
+        T = random_tuple(2, sp.dim, field, 2.5, np.random.default_rng(3))
+        rr = radius(T, sp, starts=8, seed=0)
+        gens = generators(T, sp, rr)
+        kwargs = dict(seed=0, trials=4, starts=8, samples=500)
+        want = audit(T, sp, rr, gens, **kwargs)
+
+        def broken(*args, **kwargs):
+            raise AssertionError("audit called the subdiff module")
+
+        monkeypatch.setattr(jointradius.subdiff, "apply", broken)
+        monkeypatch.setattr(jointradius.subdiff, "evaluate", broken)
+        assert audit(T, sp, rr, gens, **kwargs) == want
+        assert want.passed
 
 
 class TestAuditScale:

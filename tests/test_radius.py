@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointradius import (
     COMPLEX,
@@ -22,7 +24,17 @@ from jointradius import (
     sampled_radius,
     smoothness,
 )
-from jointradius.radius import MAX_ITER, MIN_STEP, ORBIT_TOL, _ascend, _gradient, _objective
+from jointradius.radius import (
+    MAX_ITER,
+    MIN_STEP,
+    ORBIT_TOL,
+    _ascend,
+    _gradient,
+    _key_weights,
+    _key_window,
+    _objective,
+    _orbit_keys,
+)
 from jointradius.spaces import (
     _gaussian,
     _signed_power,
@@ -448,11 +460,40 @@ def _assert_same_founders(pairs, field, tol=ORBIT_TOL):
     return got
 
 
+def _signed_pairs(n, rng):
+    """Admissible pairs of real l_inf(n) (sign vector s, unit s_k e_k), shuffled."""
+    pairs = admissible_pairs(linf(n))
+    return [pairs[i] for i in rng.permutation(len(pairs))]
+
+
 class TestOrbitDedupAgainstPairwise:
-    @pytest.mark.parametrize("space", [linf(4), l1(4)], ids=["linf4", "l1_4"])
+    @pytest.mark.parametrize("space", [linf(4), l1(4), linf(6), l1(6)], ids=["linf4", "l1_4", "linf6", "l1_6"])
     def test_admissible_pairs(self, space):
         pairs = admissible_pairs(space)
-        assert len(_assert_same_founders(pairs, REAL)) < len(pairs)
+        assert len(_assert_same_founders(pairs, REAL)) == len(pairs) // 2
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_identity_on_linf(self, n):
+        # every pair attains; the pairwise reference keeps the pairs whose sign
+        # vector starts with +1, the first half in product order (it runs
+        # about 10 s at n = 8, so it is compared at n = 6 only)
+        sp = linf(n)
+        rr = radius_exact(single(np.eye(n)), sp)
+        pairs = admissible_pairs(sp)
+        reps = [o.representative for o in rr.attaining.orbits]
+        assert len(reps) == len(pairs) // 2 == n * 2 ** (n - 1)
+        want = pairs[: len(pairs) // 2]
+        assert all(pr.x[0] == 1.0 for pr in want)
+        for got, pr in zip(reps, want):
+            np.testing.assert_array_equal(got.x, pr.x)
+            np.testing.assert_array_equal(got.x_star, pr.x_star)
+        if n == 6:
+            assert [id(pr) for pr in _reference_dedup(pairs, REAL, ORBIT_TOL)] == [
+                id(pr) for pr in want
+            ]
+
+    def test_shuffled_signed_pairs(self, rng):
+        _assert_same_founders(_signed_pairs(5, rng), REAL)
 
     def test_polygon_pairs(self, rng):
         for _ in range(3):
@@ -469,6 +510,14 @@ class TestOrbitDedupAgainstPairwise:
         pairs = [pairs[i] for i in rng.permutation(len(pairs))]
         assert len(_assert_same_founders(pairs, COMPLEX)) == len(base)
 
+    @pytest.mark.parametrize("r", [1.5, 2.0, 4.0])
+    def test_complex_pairs_under_many_phases(self, rng, r):
+        base = sample_pairs(lr(4, r, COMPLEX), 25, seed=7)
+        mus = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(len(base), 12)))
+        pairs = [NormingPair(mu * pr.x, mu * pr.x_star) for pr, row in zip(base, mus) for mu in row]
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        assert len(_assert_same_founders(pairs, COMPLEX)) == len(base)
+
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_displaced_mates(self, rng, field):
         pr = sample_pairs(lr(3, 2.0, field), 1, seed=2)[0]
@@ -482,9 +531,89 @@ class TestOrbitDedupAgainstPairwise:
         assert len(_assert_same_founders([pr, far], field)) == 2
         assert len(_assert_same_founders([pr, far, near], field)) == 2
 
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("side", ["x", "x_star"])
+    def test_mates_displaced_along_every_coordinate(self, field, side):
+        n = 4
+        pr = sample_pairs(lr(n, 3.0, field), 1, seed=3)[0]
+        k = int(np.argmax(np.abs(pr.x)))
+        mu = -1.0 if field == REAL else np.exp(-1.1j)
+        pairs = [pr]
+        for j in range(n):
+            if side == "x" and j == k:
+                continue  # moving the phase-fixing coordinate also moves mu
+            for factor in (0.5, 2.0):
+                shift = factor * ORBIT_TOL * np.eye(n)[j]
+                x, xs = mu * pr.x, mu * pr.x_star
+                pairs.append(NormingPair(x + shift, xs) if side == "x" else NormingPair(x, xs + shift))
+        got = _assert_same_founders(pairs, field)
+        # every 2 tol displacement starts an orbit of its own, every 0.5 tol one joins pr
+        assert len(got) == 1 + (len(pairs) - 1) // 2
+
+    def test_many_non_mates_share_one_key(self, rng):
+        # x = (a, 0, b e^{i psi}, 0) on complex l_2(4): no two nonzero entries of
+        # v = (x, x) are adjacent, so every psi gives the same key, while distinct
+        # psi lie in distinct orbits
+        a, b = 0.6, 0.8
+        psis = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+        pairs = []
+        for psi in psis:
+            x = np.array([a, 0.0, b * np.exp(1j * psi), 0.0])
+            for theta in rng.uniform(0.0, 2.0 * np.pi, size=3):
+                pairs.append(NormingPair(np.exp(1j * theta) * x, np.exp(1j * theta) * x))
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        keys = _orbit_keys(np.array([np.concatenate([pr.x, pr.x_star]) for pr in pairs]))
+        assert np.ptp(keys) <= 1e-14
+        assert len(_assert_same_founders(pairs, COMPLEX)) == len(psis)
+
     def test_empty(self):
         assert orbit_dedup([], REAL) == []
         assert orbit_dedup([], COMPLEX) == []
+
+
+def _key_matrix(m):
+    """The Hermitian R with h(v) = Re(v^H R v) for the key of m-coordinate rows."""
+    w = _key_weights(m)
+    off = np.diag(w[: m - 1] / 2.0, 1)
+    return np.diag(w[m - 1 :]) + off + off.T
+
+
+class TestOrbitKey:
+    @pytest.mark.parametrize("m", [2, 5, 16])
+    def test_hermitian_form_of_norm_at_most_two(self, m):
+        R = _key_matrix(m)
+        assert np.linalg.norm(R, 2) <= 2.0
+        v = np.random.default_rng(m).standard_normal((3, m)) * (1 + 1j)
+        want = np.real(np.einsum("ki,ij,kj->k", np.conj(v), R, v))
+        np.testing.assert_allclose(_orbit_keys(v), want, rtol=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        r=st.floats(1.1, 8.0),
+        field=st.sampled_from([REAL, COMPLEX]),
+        theta=st.floats(0.0, 2.0 * math.pi),
+        tol=st.floats(0.0, 1e-2),
+        shrink=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        worst=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mate_moves_key_within_window(self, n, r, field, theta, tol, shrink, worst, seed):
+        rng = np.random.default_rng(seed)
+        x = random_unit_vector(lr(n, r, field), rng)
+        v = np.concatenate([x, smooth_duality_vector(x, r)])
+        mu = np.exp(1j * theta) if field == COMPLEX else (1.0 if theta < math.pi else -1.0)
+        if worst:  # along the key's gradient 2 R v, the steepest direction
+            e = _key_matrix(2 * n) @ (mu * v)
+        else:
+            e = _gaussian(lr(2 * n, 2.0, field), rng)
+        ex, exs = e[:n], e[n:]
+        ex = shrink[0] * tol * ex / max(np.linalg.norm(ex), 1e-300)
+        exs = shrink[1] * tol * exs / max(np.linalg.norm(exs), 1e-300)
+        moved = mu * v + np.concatenate([ex, exs])
+        keys = _orbit_keys(np.array([v, moved]))
+        vmax = max(np.linalg.norm(v), np.linalg.norm(moved))
+        assert abs(keys[1] - keys[0]) <= _key_window(tol, vmax, 2 * n)
 
 
 class TestOrbitDedup:

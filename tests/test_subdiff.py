@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from jointradius import (
     COMPLEX,
     REAL,
     OperatorTuple,
+    TupleSubspace,
     ZeroRadius,
     apply,
     fd_gateaux,
@@ -18,7 +21,9 @@ from jointradius import (
     smoothness,
 )
 from jointradius.oracle import MINUS, PLUS
-from conftest import hilbert, linf, lr, single
+from jointradius.orth import _rows
+from jointradius.subdiff import evaluate
+from conftest import hilbert, l1, linf, lr, random_polygon_space, single
 
 
 class TestGenerators:
@@ -70,6 +75,78 @@ class TestGenerators:
         rr = radius_smooth(T, sp, starts=8, seed=0)
         with pytest.raises(ZeroRadius):
             generators(T, sp, rr)
+
+
+def _orbit_problems():
+    """(T, space, rr, directions) on real l_inf, l_1, a polygon and complex l_2/l_3;
+    all but the generic l_inf tuple attain on several orbits."""
+    rng = np.random.default_rng(8)
+    perm = np.eye(4)[[2, 0, 3, 1]] * np.array([1.0, -1.0, -1.0, 1.0])
+    out = []
+    for sp, T in (
+        (linf(4), OperatorTuple((perm, np.diag([1.0, -1.0, 1.0, 1.0])), p=3.0)),
+        (l1(4), OperatorTuple((perm,), p=1.5)),
+        (linf(3), random_tuple(2, 3, REAL, 2.5, rng)),
+        (random_polygon_space(rng, vertices=6), OperatorTuple((np.eye(2), np.eye(2)), p=2.0)),
+        (hilbert(3), single(np.eye(3) + 0j, field=COMPLEX)),
+        (lr(3, 3.0, COMPLEX), OperatorTuple((np.eye(3) + 0j, np.eye(3) * 1j), p=4.0, field=COMPLEX)),
+    ):
+        rr = radius(T, sp, starts=8, seed=0)
+        dirs = [random_tuple(T.d, T.n, T.field, T.p, rng) for _ in range(3)]
+        out.append((T, sp, rr, dirs))
+    return out
+
+
+def _orbit_alpha(T, pr, w):
+    """Per-orbit coefficients alpha_i = conj(z_i)|z_i|^(p-2) / w^(p-1)."""
+    z = np.array([np.vdot(pr.x_star, M @ pr.x) for M in T.matrices]) / w
+    a = np.abs(z)
+    return np.where(a > 0, np.conj(z) * np.where(a > 0, a, 1.0) ** (T.p - 2.0), 0.0)
+
+
+def _orbit_value(alpha, pr, S):
+    """Per-orbit functional value sum_i alpha_i x*(S_i x)."""
+    return sum(a * np.vdot(pr.x_star, M @ pr.x) for a, M in zip(alpha, S.matrices))
+
+
+def _assert_close(got, want, rel=1e-14):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestStackedRowsAgainstPerOrbit:
+    @pytest.mark.parametrize(
+        "case", range(6), ids=["linf", "l1", "linf-random", "polygon", "complex-l2", "complex-l3"]
+    )
+    def test_alpha_c_values_and_orth_rows(self, case):
+        T, sp, rr, dirs = _orbit_problems()[case]
+        reps = [o.representative for o in rr.attaining.orbits]
+        assert len(reps) >= (1 if case == 2 else 2)
+        gens = generators(T, sp, rr)
+        want_alpha = [_orbit_alpha(T, pr, rr.value) for pr in reps]
+        _assert_close([g.alpha for g in gens], want_alpha)
+        S = dirs[0]
+        c = gateaux_one_sided(T, S, sp, rr).c_values
+        _assert_close(c, [_orbit_value(a, pr, S).real for a, pr in zip(want_alpha, reps)])
+        V = TupleSubspace(tuple(dirs))
+        want_rows = [[_orbit_value(a, pr, D) for D in dirs] for a, pr in zip(want_alpha, reps)]
+        _assert_close(_rows(T, V, sp, rr), want_rows)
+        _assert_close(evaluate(gens, dirs), want_rows)
+        assert apply(gens[-1], S) == pytest.approx(want_rows[-1][0], rel=1e-14)
+
+    @pytest.mark.parametrize("c", [1.0, 1e150, 1e-150])
+    def test_nonattaining_warning_from_generators(self, c):
+        # a loose attaining tolerance keeps the two 0.5-valued orbits of diag(1, 0.5)
+        sp = linf(2)
+        T = single(np.diag([1.0, 0.5])).scaled(c)
+        loose = radius_exact(T, sp, attain_tol=0.9)
+        assert len(loose.attaining.orbits) == 4
+        with pytest.warns(UserWarning, match="does not attain"):
+            generators(T, sp, loose)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            generators(T, sp, radius_exact(T, sp))
 
 
 class TestApply:
