@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDescriptor
-from .spaces import COMPLEX, REAL, NormingPair, SpaceDescriptor, _signed_power, lp_norm
+from .spaces import COMPLEX, REAL, NormingPair, SpaceDescriptor, _signed_power, lp_norm, lp_norm_rows
 
 ATTAINING_TOL = 1e-6  # relative gap at which coefficient_rows warns
 
@@ -79,7 +79,7 @@ def pair_image(T: OperatorTuple, pair: NormingPair) -> np.ndarray:
     x = np.asarray(pair.x)
     if x.shape != (T.n,):
         raise DimensionMismatch("pair dimension does not match the tuple")
-    return (T.matrices @ x) @ np.conj(pair.x_star)
+    return (T.matrices @ x) @ np.asarray(pair.x_star).conj()  # a real array is its own conj(), no copy
 
 
 def pair_images(T: OperatorTuple, X: np.ndarray, XS: np.ndarray) -> np.ndarray:
@@ -105,7 +105,7 @@ def coefficient_rows(T: OperatorTuple, X: np.ndarray, XS: np.ndarray, w: float) 
     if w <= 0:
         raise ValueError("subdifferential coefficients need w > 0")
     Zw = pair_images(T, X, XS) / w
-    if np.any(np.abs(np.sum(np.abs(Zw) ** T.p, axis=1) ** (1.0 / T.p) - 1.0) > ATTAINING_TOL):
+    if np.any(np.abs(lp_norm_rows(Zw, T.p) - 1.0) > ATTAINING_TOL):
         warnings.warn("pair does not attain the radius; coefficients are diagnostic only")
     return _signed_power(Zw, T.p - 2.0)  # equals conj(z)|z|^(p-2) / w^(p-1)
 

@@ -1,7 +1,10 @@
 """Joint numerical radius: exact enumeration and multi-start ascent.
 
 On spaces with finite extreme-point lists the supremum over norming pairs
-is attained on the admissible extreme pairs, so enumeration is exact.  On
+is attained on the admissible extreme pairs, so enumeration is exact.  One
+array pass scores every pair; only the pairs that can attain become
+NormingPair objects, and `aggregate` re-scores them, so the reported value
+and orbits are its floats.  On
 smooth l_r spaces the functional is the unique duality image of x, making
 the objective a function of x alone; it is maximized by seeded projected
 gradient ascent on the unit sphere with backtracking line search.  Each
@@ -30,6 +33,7 @@ from .spaces import (
     _signed_power,
     admissible_pairs,
     lp_norm,
+    lp_norm_rows,
     random_unit_vector,
     smooth_duality_vector,
 )
@@ -215,7 +219,23 @@ def radius_exact(
     """Exact radius by enumeration of admissible extreme pairs."""
     _check_attain_tol(attain_tol)
     pairs = admissible_pairs(space)
-    scored = [(aggregate(T, pr), pr) for pr in pairs]
+    P, D = pairs.primal, pairs.dual
+    W = D @ T.matrices @ P.T  # W[i, j, k] = d_j(T_i p_k); the extremes are real
+    vals = lp_norm_rows(W[:, pairs.cols, pairs.rows].T, T.p)
+    # Both this pass and aggregate form z_i = x*(T_i x) from two length-n dot
+    # products, in different orders, so each is within 2 n eps S of the exact
+    # z_i (sqrt(2) more for complex T), with S = n^2 max|T| max|P| max|D|.
+    # Their l_p norms of d entries then differ by delta <= 6 n d eps S +
+    # 2 (d + 4) eps best, the last term from rounding the two norms, and a
+    # pair that aggregate keeps scores at least best (1 - tol) - 2 delta here.
+    # The slack covers 2 delta, the rounding of both cuts, and (tiny term)
+    # underflow, whose rounding is absolute.
+    n, d = T.n, T.d
+    S = n * n * T.max_entry() * np.abs(P).max() * np.abs(D).max()
+    best = vals.max()
+    slack = 16 * np.finfo(float).eps * (n * d * S + (d + 2) * best) + n * d * np.finfo(float).tiny
+    window = np.flatnonzero(vals >= best - attain_tol * best - slack)
+    scored = [(aggregate(T, pr), pr) for pr in pairs.at(window)]
     value, attaining = _build_attaining(scored, space.field, True, attain_tol)
     return RadiusResult(
         value=value,

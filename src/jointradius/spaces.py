@@ -12,8 +12,8 @@ u(z) = sum_i conj(u_i) z_i, so that on Hilbert space u = x reproduces
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -167,6 +167,20 @@ def lp_norm(z: np.ndarray, p: float) -> float:
     return float(m * total ** (1.0 / p))
 
 
+def lp_norm_rows(Z: np.ndarray, p: float) -> np.ndarray:
+    """l_p norm of each row of the 2-D array Z, scaled by the row's max |z_i| as in `lp_norm`.
+
+    The work runs on a column-major copy: numpy reduces short contiguous rows
+    entry by entry, but adds whole columns at once.
+    """
+    A = np.ascontiguousarray(np.abs(Z).T)  # no copy when Z is a transposed C array
+    m = A.max(axis=0)
+    m[m == 0] = 1.0  # a zero row has norm 0 at any scale
+    A /= m
+    A **= p
+    return m * A.sum(axis=0) ** (1.0 / p)
+
+
 def _signed_power(z: np.ndarray, e: float) -> np.ndarray:
     """conj(z) |z|^e with the limit value 0 near z = 0 (needed for e < 0).
 
@@ -196,8 +210,9 @@ def extreme_points(space: SpaceDescriptor):
     Returns (primal, dual) 2-D float arrays, one point per row, for
     polyhedral spaces and real l_1/l_inf; raises Unsupported on strictly
     convex l_r, where every unit vector is extreme.  On l_1/l_inf the unit
-    vectors come in the order e_1, -e_1, e_2, -e_2, ... and the sign vectors
-    in the order of itertools.product((1, -1), repeat=n).
+    vectors come in the order e_1, -e_1, e_2, -e_2, ... and the 2^n sign
+    vectors in lexicographic order with +1 before -1: row k has -1 in
+    coordinate j exactly when bit n-1-j of k is set.
     """
     if isinstance(space.norm, Polyhedral):
         return (
@@ -211,7 +226,7 @@ def extreme_points(space: SpaceDescriptor):
     n = space.dim
     if n > SIGN_ENUM_CAP:
         raise Unsupported(f"sign-vector enumeration capped at dim {SIGN_ENUM_CAP}")
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    signs = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
     units = np.kron(np.eye(n), [[1.0], [-1.0]]) + 0.0  # kron leaves -0.0 in the -e_k rows
     return (units, signs) if space.norm.r == 1 else (signs, units)
 
@@ -230,19 +245,49 @@ def duality_map(space: SpaceDescriptor, x) -> list[NormingPair]:
     return [NormingPair(vec, u) for u in active]
 
 
-def admissible_pairs(space: SpaceDescriptor) -> list[NormingPair]:
+class AdmissiblePairs(Sequence):
+    """The admissible extreme pairs (primal[rows[k]], dual[cols[k]]), k < len(rows).
+
+    `at(idx)` builds the NormingPairs of the indices idx.  Indexing and
+    slicing go through one list built on first access, so repeated access
+    returns the same objects.
+    """
+
+    def __init__(self, primal: np.ndarray, dual: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+        self.primal, self.dual, self.rows, self.cols = primal, dual, rows, cols
+        self._pairs = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        if self._pairs is None:
+            self._pairs = self.at(slice(None))
+        return self._pairs[k]
+
+    def at(self, idx) -> list[NormingPair]:
+        rows, cols = self.rows[idx].tolist(), self.cols[idx].tolist()
+        # one view per extreme point, shared by all of its pairs
+        primal, dual = [None] * len(self.primal), [None] * len(self.dual)
+        for i in set(rows):
+            primal[i] = self.primal[i]
+        for j in set(cols):
+            dual[j] = self.dual[j]
+        return [NormingPair(primal[i], dual[j]) for i, j in zip(rows, cols)]
+
+
+def admissible_pairs(space: SpaceDescriptor) -> AdmissiblePairs:
     """All extreme pairs (x, x*) with x*(x) = 1; exact basis for the radius.
 
-    Pairs come primal-major: all functionals of the first primal extreme,
-    then those of the second, and so on.
+    Returns an `AdmissiblePairs` sequence, primal-major: all functionals of
+    the first primal extreme, then those of the second, and so on, each in
+    the order of the dual extremes.
     """
     primal, dual = extreme_points(space)
     rows, cols = np.nonzero(np.abs(primal @ dual.T - 1.0) <= DESCRIPTOR_TOL)
     if len(rows) == 0:
         raise InvalidDescriptor("no admissible pairs: inconsistent descriptor")
-    # one view per extreme point, shared by all of its pairs
-    primal, dual = list(primal), list(dual)
-    return [NormingPair(primal[i], dual[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+    return AdmissiblePairs(primal, dual, rows, cols)
 
 
 def _gaussian(space: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:

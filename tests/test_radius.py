@@ -29,6 +29,7 @@ from jointradius.radius import (
     MIN_STEP,
     ORBIT_TOL,
     _ascend,
+    _build_attaining,
     _gradient,
     _key_weights,
     _key_window,
@@ -85,6 +86,76 @@ class TestRadiusExact:
             T = random_tuple(2, 2, REAL, 2.0, rng)
             rr = radius_exact(T, sp)
             assert rr.value >= sampled_radius(T, sp, samples=2000, seed=1) - 1e-12
+
+
+def _all_pairs_exact(T, space, attain_tol):
+    """radius_exact's answer with every admissible pair scored by `aggregate`."""
+    scored = [(aggregate(T, pr), pr) for pr in admissible_pairs(space)]
+    return _build_attaining(scored, space.field, True, attain_tol)
+
+
+def _orbit_bytes(attaining):
+    return [(o.value, o.representative.x.tobytes(), o.representative.x_star.tobytes()) for o in attaining.orbits]
+
+
+def _window_tuples(kind, n, rng):
+    """Three d = 2 tuples of one kind on dimension n."""
+    for _ in range(3):
+        if kind == "generic":
+            mats = rng.standard_normal((2, n, n))
+        elif kind == "integer":  # small integers: many pairs tie exactly
+            mats = rng.integers(-2, 3, size=(2, n, n)).astype(float)
+        else:  # signed permutations: every pair attains, and the noise splits them by ~1e-13
+            mats = np.array([np.diag(rng.choice([-1.0, 1.0], n))[rng.permutation(n)] for _ in range(2)])
+            mats += 1e-13 * rng.standard_normal((2, n, n))
+        yield mats
+
+
+def _count_aggregate(monkeypatch):
+    """Every pair `radius_exact` scores through `aggregate` from now on."""
+    module = sys.modules["jointradius.radius"]
+    calls = []
+    aggregate_ = module.aggregate
+
+    def counted(T, pair):
+        calls.append(pair)
+        return aggregate_(T, pair)
+
+    monkeypatch.setattr(module, "aggregate", counted)
+    return calls
+
+
+class TestWindowedScoring:
+    """radius_exact re-scores only the window its array pass keeps; the answer
+    must be the one scoring every pair with `aggregate` gives, bit for bit."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-6, 0.5])
+    @pytest.mark.parametrize("c", [1.0, 1e150, 1e-150])
+    @pytest.mark.parametrize("kind", ["generic", "integer", "signed_permutation"])
+    def test_matches_all_pairs_reference(self, rng, tol, c, kind):
+        spaces = [linf(3), l1(3), linf(5), l1(5)]
+        if kind != "signed_permutation":
+            spaces += [random_polygon_space(rng, vertices=5) for _ in range(2)]
+        for k, sp in enumerate(spaces):
+            for mats in _window_tuples(kind, sp.dim, rng):
+                T = OperatorTuple(c * mats, p=(1.3, 2.0, 7.0)[k % 3])
+                rr = radius_exact(T, sp, attain_tol=tol)
+                value, attaining = _all_pairs_exact(T, sp, tol)
+                assert rr.value == value
+                assert _orbit_bytes(rr.attaining) == _orbit_bytes(attaining)
+
+    def test_generic_tuple_rescores_one_orbit(self, rng, monkeypatch):
+        calls = _count_aggregate(monkeypatch)
+        rr = radius_exact(OperatorTuple(rng.standard_normal((3, 6, 6))), linf(6))
+        # a pair (x, x*) and its negation (-x, -x*) score the same floats
+        assert len(calls) == 2 and len(rr.attaining.orbits) == 1
+
+    def test_identity_rescores_every_pair(self, monkeypatch):
+        # perfbench's tracer counts these calls through the same module global
+        calls = _count_aggregate(monkeypatch)
+        rr = radius_exact(single(np.eye(4)), linf(4))
+        assert len(calls) == len(admissible_pairs(linf(4))) == 64
+        assert len(rr.attaining.orbits) == 32
 
 
 class TestRadiusSmooth:

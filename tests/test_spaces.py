@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from jointradius import (
     space_from_json,
     space_to_json,
 )
-from jointradius.spaces import lp_norm
+from jointradius.spaces import AdmissiblePairs, lp_norm, lp_norm_rows
 from conftest import hilbert, l1, linf, lr, random_polygon_space
 
 
@@ -73,6 +74,19 @@ class TestLpNorm:
                     if field == COMPLEX:
                         z = z + 1j * rng.standard_normal(n) * scale
                     assert lp_norm(z, p) == _numpy_lp_norm(z, p)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("p", [1.01, 2.0, 80.0, 1e4])
+    def test_rows_agree_with_lp_norm(self, rng, field, p):
+        for scale in (1e-150, 1.0, 1e150):
+            Z = rng.standard_normal((40, 3)) * scale
+            if field == COMPLEX:
+                Z = Z + 1j * rng.standard_normal((40, 3)) * scale
+            Z[7] = 0.0
+            got = lp_norm_rows(Z, p)
+            want = np.array([lp_norm(z, p) for z in Z])
+            assert got[7] == 0.0
+            np.testing.assert_allclose(got, want, rtol=8 * np.finfo(float).eps, atol=0.0)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_zero_inf_and_nan(self, n):
@@ -163,6 +177,13 @@ class TestExtremePoints:
         np.testing.assert_array_equal(units, [[1, 0], [-1, 0], [0, 1], [0, -1]])
         np.testing.assert_array_equal(signs, [[1, 1], [1, -1], [-1, 1], [-1, -1]])
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sign_vectors_in_product_order(self, n):
+        want = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+        for signs in (extreme_points(linf(n))[0], extreme_points(l1(n))[1]):
+            assert signs.dtype == want.dtype and signs.shape == want.shape
+            assert signs.tobytes() == want.tobytes()  # the same bits: no -0.0
+
     @pytest.mark.parametrize("make", [l1, linf])
     def test_no_negative_zeros(self, make):
         for E in extreme_points(make(4)):
@@ -194,6 +215,31 @@ class TestAdmissiblePairs:
             for pr, (v, u) in zip(pairs, expected):
                 np.testing.assert_array_equal(pr.x, v)
                 np.testing.assert_array_equal(pr.x_star, u)
+
+    def test_sequence_access(self):
+        pairs = admissible_pairs(linf(3))
+        assert isinstance(pairs, AdmissiblePairs) and len(pairs) == 24
+        assert pairs[0] is pairs[0] and pairs[-1] is pairs[23] and pairs[-24] is pairs[0]
+        for k in (24, -25):
+            with pytest.raises(IndexError):
+                pairs[k]
+        assert [id(pr) for pr in pairs[2:9:3]] == [id(pairs[k]) for k in (2, 5, 8)]
+        assert [id(pr) for pr in pairs] == [id(pairs[k]) for k in range(24)]
+        assert pairs[24:] == []
+
+    def test_at_builds_the_indexed_pairs(self):
+        pairs = admissible_pairs(l1(3))
+        idx = np.array([23, 0, 5, 1])
+        built = pairs.at(idx)
+        assert len(built) == len(idx)
+        for pr, k in zip(built, idx):
+            np.testing.assert_array_equal(pr.x, pairs.primal[pairs.rows[k]])
+            np.testing.assert_array_equal(pr.x_star, pairs.dual[pairs.cols[k]])
+            np.testing.assert_array_equal(pr.x, pairs[k].x)
+            np.testing.assert_array_equal(pr.x_star, pairs[k].x_star)
+        # pairs 0 and 1 share their primal extreme, and so its row view
+        assert built[1].x is built[3].x
+        assert pairs.at(np.array([], dtype=int)) == []
 
 
 class TestSamplePairs:
