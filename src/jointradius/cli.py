@@ -3,9 +3,9 @@
 Reads a problem file (space + tuple, plus optional direction/against/
 subspace sections), dispatches to the solvers, and writes machine-readable
 JSON to standard output.  Diagnostics go to standard error.  Exit codes:
-0 success, 1 I/O or schema errors or numbers out of range in the input
-(OverflowError, e.g. "dim": 1e999), 2 mathematical errors (zero radius,
-dependent direction).
+0 success, 1 usage, I/O or schema errors or numbers out of range in the
+input (OverflowError, e.g. "dim": 1e999), 2 mathematical errors (zero
+radius, dependent direction).
 """
 
 from __future__ import annotations
@@ -236,8 +236,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so that they exit 1 with one `error:` line like schema errors."""
+
+    def error(self, message):
+        raise JointRadiusError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jointradius",
         description="Joint numerical radius toolkit for operator tuples.",
     )
@@ -256,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         problem = parse(args.input, p_override=args.p)
         _emit(COMMANDS[args.command](problem, args), args.pretty)
     except MATH_ERRORS as exc:

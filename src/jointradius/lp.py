@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-DEFAULT_TOL = 1e-9
+LP_TOL = 1e-9  # bound on the scaled L1 residual and on the re-substitution error
 ACTIVE_TOL = 1e-12  # gradient and coefficient threshold of the active set
 
 
@@ -27,7 +27,6 @@ ACTIVE_TOL = 1e-12  # gradient and coefficient threshold of the active set
 class HullProblem:
     points: tuple  # m real vectors of dimension k
     target: tuple  # real vector of dimension k
-    tolerance: float = DEFAULT_TOL
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -36,8 +35,6 @@ class HullProblem:
             raise DimensionMismatch("need at least one point")
         if pts.shape[1] != tgt.shape[0]:
             raise DimensionMismatch("points and target dimensions differ")
-        if not (self.tolerance > 0):
-            raise ValueError("tolerance must be positive")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "target", tgt)
 
@@ -90,11 +87,11 @@ def hull_membership(prob: HullProblem) -> HullResult:
 
     weights = _nnls(A, b)
     # the L1 residual of the scaled rows is the phase-I objective of the LP
-    # form; t = 0 can pass it only under a tolerance of 1 or more
-    if np.sum(np.abs(A @ weights - b)) > prob.tolerance or not weights.any():
+    # form; at t = 0 the convexity row alone leaves a residual of 1
+    if np.sum(np.abs(A @ weights - b)) > LP_TOL:
         return HullResult(feasible=False, weights=None)
     weights /= weights.sum()
     # re-substitution check against the original, unscaled data
-    if np.max(np.abs(pts.T @ weights - tgt)) > prob.tolerance * max(1.0, float(np.max(np.abs(pts)))):
+    if np.max(np.abs(pts.T @ weights - tgt)) > LP_TOL * max(1.0, float(np.max(np.abs(pts)))):
         return HullResult(feasible=False, weights=None)
     return HullResult(feasible=True, weights=weights)

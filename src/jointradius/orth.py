@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DependentDirection, EmptyBasis, InvalidCertificate
-from .lp import HullProblem, hull_membership
+from .lp import LP_TOL, HullProblem, hull_membership
 from .optuples import OperatorTuple
 from .radius import RadiusResult
 from .spaces import SpaceDescriptor
 from .subdiff import evaluate, generators
 
-LP_TOL = 1e-9
 DEPENDENT_TOL = 1e-10
 WEIGHT_SUM_TOL = 1e-10
 
@@ -80,10 +79,7 @@ def _decide(rows: np.ndarray, rr: RadiusResult, ref: float) -> OrthResult:
         # trivially orthogonal, weight 1 anywhere
         cert = OrthCertificate(weights=((0, 1.0),), residual=scale)
         return OrthResult(orthogonal=True, approximate=approximate, certificate=cert)
-    prob = HullProblem(
-        points=points / scale, target=np.zeros(points.shape[1]), tolerance=LP_TOL
-    )
-    res = hull_membership(prob)
+    res = hull_membership(HullProblem(points=points / scale, target=np.zeros(points.shape[1])))
     if not res.feasible:
         return OrthResult(orthogonal=False, approximate=approximate, certificate=None)
     residual = float(np.max(np.abs(points.T @ res.weights)))

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import Unsupported, ZeroRadius
 from .optuples import OperatorTuple, aggregate
 from .spaces import (
-    COMPLEX,
     NormingPair,
     SpaceDescriptor,
     _gaussian,
@@ -82,76 +81,61 @@ def _require_positive(rr: RadiusResult) -> None:
 _PAIR_CHUNK = 1 << 15  # candidate pairs tested per array operation
 
 
-def _key_weights(m: int) -> np.ndarray:
-    """2m - 1 fixed pseudo-random weights in [0.5, 1), from a sine hash.
+def _orbit_keys(V: np.ndarray):
+    """Phase-invariant key k(v) = |<v, g>| of each row v = (x, x*) of V, and
+    the window: the largest key gap between orbit mates.
 
-    With no small integer relations among them, distinct orbits rarely share
-    a key; a shared key only widens a window.  A hash, not numpy.random:
-    the exact path never imports that module, whose import costs about
-    20 ms in every CLI process.
-    """
-    return 0.5 + 0.5 * ((np.sin(np.arange(1.0, 2 * m)) * 43758.5453) % 1.0)
+    g holds fixed weights in [0.5, 1) from a sine hash.  With no small
+    integer relations among them, distinct orbits rarely share a key, and a
+    shared key only widens a window.  A hash, not numpy.random, whose import
+    costs about 20 ms in every CLI process.
 
-
-def _orbit_keys(V: np.ndarray) -> np.ndarray:
-    """Phase-invariant key of each row v = (x, x*) of V.
-
-    h(v) = sum_k w_k Re(v_k conj v_{k+1}) + sum_k w'_k |v_k|^2 with fixed
-    weights in [0.5, 1): a Hermitian form Re(v^H R v) with ||R||_2 <= 2,
-    unchanged by v -> mu v for |mu| = 1.
+    A mate mu v + e, |mu| = 1, within ORBIT_TOL in x and in x* has
+    ||e|| <= sqrt(2) ORBIT_TOL, so by Cauchy-Schwarz its key is within
+    sqrt(2) ORBIT_TOL ||g|| of k(v).  The rounding term, with vmax >= ||v||,
+    covers two keys of m products each (about (sqrt(2) m + 2) eps ||g|| vmax
+    apiece) and the few-eps error of the phase and norm test in `_mates`.
     """
     m = V.shape[1]
-    w = _key_weights(m)
-    cross = np.real(V[:, :-1] * np.conj(V[:, 1:]))
-    return cross @ w[: m - 1] + (np.abs(V) ** 2) @ w[m - 1 :]
+    g = 0.5 + 0.5 * ((np.sin(np.arange(1.0, m + 1)) * 43758.5453) % 1.0)
+    norms = np.linalg.norm(V, axis=1)
+    vmax = float(np.max(norms, initial=0.0, where=np.isfinite(norms)))
+    rounding = 4.0 * (m + 8) * np.finfo(float).eps * vmax
+    window = np.linalg.norm(g) * (math.sqrt(2.0) * ORBIT_TOL + rounding)
+    return np.abs(V @ g), window
 
 
-def _key_window(tol: float, vmax: float, m: int) -> float:
-    """Largest key gap between orbit mates within tol in x and in x*.
+def _mates(X, XS, K, lead, f, c) -> np.ndarray:
+    """Whether candidate c is within ORBIT_TOL of a unimodular multiple of founder f, per entry.
 
-    For v' = mu v + e with ||e|| <= sqrt(2) tol, |h(v') - h(v)| =
-    |Re((v' - mu v)^H R (v' + mu v))| <= 2 sqrt(2) tol * 2 vmax, where vmax
-    bounds ||v||.  The factor 6 rounds 4 sqrt(2) up; the second term covers
-    the rounding of two keys of m coordinates (|h| <= 2 vmax^2).
-    """
-    return 6.0 * tol * vmax + 4.0 * (m + 8) * np.finfo(float).eps * vmax * vmax
-
-
-def _mates(X, XS, K, lead, f, c, field: str, tol: float) -> np.ndarray:
-    """Whether candidate c is within tol of a unimodular multiple of founder f, per entry.
-
-    The phase mu is aligned on the founder's largest coordinate.
+    The phase mu = b conj(a) / |b conj(a)| aligns the founder's largest
+    coordinate a with the candidate's b; on real data it is the sign of ab.
     """
     a, b = lead[f], X[c, K[f]]
-    ok = np.abs(b) >= 1e-300
-    if field == COMPLEX:
-        mu = b * np.conj(a)
-        mod = np.abs(mu)
-        ok &= mod >= 1e-300
-        mu = mu / np.where(ok, mod, 1.0)
-    else:
-        mu = np.where(a * b >= 0, 1.0, -1.0)
+    mu = b * np.conj(a)
+    mod = np.abs(mu)
+    ok = (np.abs(b) >= 1e-300) & (mod >= 1e-300)
     # stored functionals are applied with a conjugation, so the mate of
     # (x, x*) under phase mu is (mu x, mu x*) in stored coordinates
-    mu = mu[:, None]
-    ok &= np.linalg.norm(mu * X[f] - X[c], axis=1) <= tol
-    ok &= np.linalg.norm(mu * XS[f] - XS[c], axis=1) <= tol
+    mu = (mu / np.where(ok, mod, 1.0))[:, None]
+    ok &= np.linalg.norm(mu * X[f] - X[c], axis=1) <= ORBIT_TOL
+    ok &= np.linalg.norm(mu * XS[f] - XS[c], axis=1) <= ORBIT_TOL
     return ok
 
 
-def orbit_dedup(pairs, field: str, tol: float = ORBIT_TOL):
+def orbit_dedup(pairs):
     """Greedy clustering of norming pairs into unimodular orbits.
 
-    A candidate joins an orbit when a phase mu (sign for the real field)
-    aligned on the founder's largest coordinate maps the founder onto it
-    within tol in both components.  Founders keep their input order, so the
+    A candidate joins an orbit when the phase mu aligned on the founder's
+    largest coordinate (a sign on real data) maps the founder onto it within
+    ORBIT_TOL in both components.  Founders keep their input order, so the
     output is deterministic.
 
-    Mates are found through the phase-invariant key `_orbit_keys`: pairs are
-    sorted on it, and the exact test runs, in one array pass, only on pairs
-    whose keys lie within `_key_window` of each other.  A greedy pass over
-    those matches then picks the founders a candidate-by-candidate scan of
-    all founders would pick.  Keys that collide only widen the tested set.
+    Pairs are sorted on the phase-invariant key of `_orbit_keys`, and the
+    exact test runs, in one array pass, only on pairs whose keys lie within
+    its window; keys that collide only widen the tested set.  A greedy pass
+    over the matches then picks the founders that a scan of every candidate
+    against all founders would pick.
     """
     if not pairs:
         return []
@@ -160,14 +144,11 @@ def orbit_dedup(pairs, field: str, tol: float = ORBIT_TOL):
     N = len(pairs)
     K = np.argmax(np.abs(X), axis=1)
     lead = X[np.arange(N), K]  # each pair's own largest coordinate
-    V = np.hstack([X, XS])
-    keys = _orbit_keys(V)
-    norms = np.linalg.norm(V, axis=1)
-    vmax = float(np.max(norms, initial=0.0, where=np.isfinite(norms)))
+    keys, window = _orbit_keys(np.hstack([X, XS]))
     order = np.argsort(keys, kind="stable")
     sk = keys[order]
     # sorted position s is tested against the positions lo[s], ..., s - 1
-    lo = np.searchsorted(sk, sk - _key_window(tol, vmax, V.shape[1]), side="left")
+    lo = np.searchsorted(sk, sk - window, side="left")
     cnt = np.arange(N) - lo
     s = np.repeat(np.arange(N), cnt)
     t = np.arange(len(s)) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
@@ -176,7 +157,7 @@ def orbit_dedup(pairs, field: str, tol: float = ORBIT_TOL):
     ok = np.zeros(len(f), dtype=bool)
     for i in range(0, len(f), _PAIR_CHUNK):  # bounded memory when many keys collide
         part = slice(i, i + _PAIR_CHUNK)
-        ok[part] = _mates(X, XS, K, lead, f[part], c[part], field, tol)
+        ok[part] = _mates(X, XS, K, lead, f[part], c[part])
     mates = [[] for _ in range(N)]
     for fi, ci in zip(f[ok].tolist(), c[ok].tolist()):
         mates[ci].append(fi)
@@ -200,12 +181,19 @@ def _check_attain_tol(rel_tol: float) -> None:
         raise ValueError(f"attaining tolerance must satisfy 0 <= tol < 1, got {rel_tol}")
 
 
-def _build_attaining(scored, field: str, exhaustive: bool, rel_tol: float):
+def _check_multistart(starts: int, seed: int) -> None:
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def _build_attaining(scored, exhaustive: bool, rel_tol: float):
     """scored: list of (value, pair), already ordered deterministically."""
     best = max(v for v, _ in scored)
     cut = best - rel_tol * max(best, 0.0)
     near = [(v, pr) for v, pr in scored if v >= cut]
-    reps = orbit_dedup([pr for _, pr in near], field, ORBIT_TOL)
+    reps = orbit_dedup([pr for _, pr in near])
     by_id = {id(pr): v for v, pr in near}
     orbits = tuple(Orbit(rep, by_id[id(rep)]) for rep in reps)
     return best, AttainingSet(orbits=orbits, exhaustive=exhaustive)
@@ -236,7 +224,7 @@ def radius_exact(
     slack = 16 * np.finfo(float).eps * (n * d * S + (d + 2) * best) + n * d * np.finfo(float).tiny
     window = np.flatnonzero(vals >= best - attain_tol * best - slack)
     scored = [(aggregate(T, pr), pr) for pr in pairs.at(window)]
-    value, attaining = _build_attaining(scored, space.field, True, attain_tol)
+    value, attaining = _build_attaining(scored, True, attain_tol)
     return RadiusResult(
         value=value,
         method=EXACT_ENUMERATION,
@@ -354,8 +342,7 @@ def radius_smooth(
     """Multi-start projected gradient ascent on a smooth l_r space."""
     if not space.is_smooth_lp:
         raise Unsupported("radius_smooth requires an l_r space with 1 < r < inf")
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
+    _check_multistart(starts, seed)
     _check_attain_tol(attain_tol)
     # the ascent's step cap and stop test are not scale-free, so it runs on
     # T / max|T_ij| (a division: 1/m overflows for subnormal m)
@@ -366,7 +353,7 @@ def radius_smooth(
         rng = np.random.default_rng([seed, k])
         fval, x = _ascend(unit, space, random_unit_vector(space, rng), rng)
         scored.append((m * fval, NormingPair(x, smooth_duality_vector(x, space.norm.r))))
-    value, attaining = _build_attaining(scored, space.field, False, attain_tol)
+    value, attaining = _build_attaining(scored, False, attain_tol)
     return RadiusResult(
         value=value,
         method=MULTI_START,
@@ -385,7 +372,9 @@ def radius(
     """Dispatch to the exact or multi-start method based on the space.
 
     attain_tol=None keeps each method's own default attaining tolerance.
+    starts and seed are checked on both methods.
     """
+    _check_multistart(starts, seed)
     tol = {} if attain_tol is None else {"attain_tol": attain_tol}
     if space.is_smooth_lp:
         return radius_smooth(T, space, starts=starts, seed=seed, **tol)

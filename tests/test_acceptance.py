@@ -250,7 +250,7 @@ def test_criterion_9_lp_kernel(capsys):
         else:
             span = pts.max(axis=0) - pts.min(axis=0)
             tgt = pts.max(axis=0) + (0.5 + rng.uniform()) * (span + 1.0)
-        res = hull_membership(HullProblem(points=pts, target=tgt, tolerance=1e-9))
+        res = hull_membership(HullProblem(points=pts, target=tgt))
         # rejection-sampling oracle: accept iff a random convex combination
         # lands near the target
         combos = rng.dirichlet(np.ones(m), size=4000) @ pts

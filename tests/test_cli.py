@@ -377,6 +377,34 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [("--starts", "0"), ("--starts", "-3"), ("--seed", "-1")])
+    @pytest.mark.parametrize(
+        "command, name",
+        [("radius", "linf2_exact.json"), ("verify", "linf2_exact.json"), ("radius", "hilbert_smooth.json")],
+    )
+    def test_bad_starts_or_seed(self, capsys, command, name, flags):
+        code, out, err = run(capsys, command, prob(name), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("frob", prob("linf2_exact.json")),
+            ("radius",),
+            ("radius", prob("linf2_exact.json"), "--starts", "abc"),
+            ("radius", prob("linf2_exact.json"), "--tol", "x"),
+            ("radius", prob("linf2_exact.json"), "--bogus"),
+        ],
+        ids=["unknown-command", "missing-input", "starts-abc", "tol-x", "unknown-flag"],
+    )
+    def test_usage_error_is_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_gateaux_without_direction(self, capsys):
         code, _, _ = run(capsys, "gateaux", prob("linf2_exact.json"))
         assert code == 1

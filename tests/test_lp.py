@@ -9,8 +9,8 @@ from jointradius import DimensionMismatch, HullProblem, hull_membership
 SQUARE = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
 
 
-def _solve(points, target, tol=1e-9):
-    return hull_membership(HullProblem(points=points, target=target, tolerance=tol))
+def _solve(points, target):
+    return hull_membership(HullProblem(points=points, target=target))
 
 
 class TestWorkedExamples:
@@ -106,13 +106,6 @@ class TestValidation:
         with pytest.raises(DimensionMismatch):
             HullProblem(points=[(1.0, 0.0)], target=(1.0, 0.0, 0.0))
 
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            HullProblem(points=[(1.0,)], target=(1.0,), tolerance=0.0)
-
-    def test_tolerance_above_one_with_zero_weights(self):
-        # the NNLS solution is t = 0 here, whose L1 residual 2 passes tolerance 3
-        assert not _solve([(-1.0,)], (1.0,), tol=3.0).feasible
 
 
 class TestHypothesis:

@@ -31,8 +31,6 @@ from jointradius.radius import (
     _ascend,
     _build_attaining,
     _gradient,
-    _key_weights,
-    _key_window,
     _objective,
     _orbit_keys,
 )
@@ -91,7 +89,7 @@ class TestRadiusExact:
 def _all_pairs_exact(T, space, attain_tol):
     """radius_exact's answer with every admissible pair scored by `aggregate`."""
     scored = [(aggregate(T, pr), pr) for pr in admissible_pairs(space)]
-    return _build_attaining(scored, space.field, True, attain_tol)
+    return _build_attaining(scored, True, attain_tol)
 
 
 def _orbit_bytes(attaining):
@@ -209,8 +207,10 @@ class TestRadiusSmooth:
         )
 
     def test_starts_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="starts"):
             radius_smooth(single(np.eye(2)), hilbert(2, REAL), starts=0)
+        with pytest.raises(ValueError, match="seed"):
+            radius_smooth(single(np.eye(2)), hilbert(2, REAL), starts=2, seed=-1)
 
     def test_unsupported(self):
         with pytest.raises(Unsupported):
@@ -496,7 +496,7 @@ class TestAttainTolRange:
         assert radius_smooth(T, hilbert(2, REAL), starts=2, attain_tol=tol).value == pytest.approx(1.0)
 
 
-def _reference_dedup(pairs, field, tol):
+def _reference_dedup(pairs, field):
     """The pairwise orbit test orbit_dedup replaced: one candidate, one founder."""
 
     def same_orbit(rep, cand):
@@ -513,8 +513,8 @@ def _reference_dedup(pairs, field, tol):
         else:
             mu = 1.0 if float(a) * float(b) >= 0 else -1.0
         return (
-            np.linalg.norm(mu * rep.x - cand.x) <= tol
-            and np.linalg.norm(mu * rep.x_star - cand.x_star) <= tol
+            np.linalg.norm(mu * rep.x - cand.x) <= ORBIT_TOL
+            and np.linalg.norm(mu * rep.x_star - cand.x_star) <= ORBIT_TOL
         )
 
     reps = []
@@ -524,10 +524,12 @@ def _reference_dedup(pairs, field, tol):
     return reps
 
 
-def _assert_same_founders(pairs, field, tol=ORBIT_TOL):
-    got = orbit_dedup(pairs, field, tol)
-    want = _reference_dedup(pairs, field, tol)
-    assert [id(pr) for pr in got] == [id(pr) for pr in want]
+def _assert_same_founders(pairs, field):
+    """orbit_dedup's founders are the reference's; real pairs are compared
+    under both the sign rule and the complex phase rule."""
+    got = orbit_dedup(pairs)
+    for rule in (REAL, COMPLEX) if field == REAL else (COMPLEX,):
+        assert [id(pr) for pr in got] == [id(pr) for pr in _reference_dedup(pairs, rule)]
     return got
 
 
@@ -559,7 +561,7 @@ class TestOrbitDedupAgainstPairwise:
             np.testing.assert_array_equal(got.x, pr.x)
             np.testing.assert_array_equal(got.x_star, pr.x_star)
         if n == 6:
-            assert [id(pr) for pr in _reference_dedup(pairs, REAL, ORBIT_TOL)] == [
+            assert [id(pr) for pr in _reference_dedup(pairs, REAL)] == [
                 id(pr) for pr in want
             ]
 
@@ -621,93 +623,77 @@ class TestOrbitDedupAgainstPairwise:
         # every 2 tol displacement starts an orbit of its own, every 0.5 tol one joins pr
         assert len(got) == 1 + (len(pairs) - 1) // 2
 
-    def test_many_non_mates_share_one_key(self, rng):
-        # x = (a, 0, b e^{i psi}, 0) on complex l_2(4): no two nonzero entries of
-        # v = (x, x) are adjacent, so every psi gives the same key, while distinct
-        # psi lie in distinct orbits
-        a, b = 0.6, 0.8
+    def test_every_key_collides(self, rng):
+        # on complex l_2(4), x = x*, so k(v) = |<x, g_x + g_x*>| is 0 for every x
+        # orthogonal to g_x + g_x*: 40 distinct orbits in the span of two
+        # orthonormal such vectors, 3 phases each, all share one window
+        g = _orbit_keys(np.eye(8))[0]  # the key of e_k is g_k
+        u = np.linalg.svd((g[:4] + g[4:])[None, :])[2][1:3]
         psis = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
         pairs = []
         for psi in psis:
-            x = np.array([a, 0.0, b * np.exp(1j * psi), 0.0])
+            x = 0.6 * u[0] + 0.8 * np.exp(1j * psi) * u[1]
             for theta in rng.uniform(0.0, 2.0 * np.pi, size=3):
                 pairs.append(NormingPair(np.exp(1j * theta) * x, np.exp(1j * theta) * x))
         pairs = [pairs[i] for i in rng.permutation(len(pairs))]
-        keys = _orbit_keys(np.array([np.concatenate([pr.x, pr.x_star]) for pr in pairs]))
-        assert np.ptp(keys) <= 1e-14
+        keys, window = _orbit_keys(np.array([np.concatenate([pr.x, pr.x_star]) for pr in pairs]))
+        assert np.ptp(keys) <= window
         assert len(_assert_same_founders(pairs, COMPLEX)) == len(psis)
 
     def test_empty(self):
-        assert orbit_dedup([], REAL) == []
-        assert orbit_dedup([], COMPLEX) == []
-
-
-def _key_matrix(m):
-    """The Hermitian R with h(v) = Re(v^H R v) for the key of m-coordinate rows."""
-    w = _key_weights(m)
-    off = np.diag(w[: m - 1] / 2.0, 1)
-    return np.diag(w[m - 1 :]) + off + off.T
+        assert orbit_dedup([]) == []
 
 
 class TestOrbitKey:
-    @pytest.mark.parametrize("m", [2, 5, 16])
-    def test_hermitian_form_of_norm_at_most_two(self, m):
-        R = _key_matrix(m)
-        assert np.linalg.norm(R, 2) <= 2.0
-        v = np.random.default_rng(m).standard_normal((3, m)) * (1 + 1j)
-        want = np.real(np.einsum("ki,ij,kj->k", np.conj(v), R, v))
-        np.testing.assert_allclose(_orbit_keys(v), want, rtol=1e-13)
-
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(1, 6),
         r=st.floats(1.1, 8.0),
         field=st.sampled_from([REAL, COMPLEX]),
         theta=st.floats(0.0, 2.0 * math.pi),
-        tol=st.floats(0.0, 1e-2),
         shrink=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-        worst=st.booleans(),
+        steepest=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_mate_moves_key_within_window(self, n, r, field, theta, tol, shrink, worst, seed):
+    def test_mate_moves_key_within_window(self, n, r, field, theta, shrink, steepest, seed):
         rng = np.random.default_rng(seed)
         x = random_unit_vector(lr(n, r, field), rng)
         v = np.concatenate([x, smooth_duality_vector(x, r)])
         mu = np.exp(1j * theta) if field == COMPLEX else (1.0 if theta < math.pi else -1.0)
-        if worst:  # along the key's gradient 2 R v, the steepest direction
-            e = _key_matrix(2 * n) @ (mu * v)
+        if steepest:  # along g, in the phase of <mu v, g>: the largest move of the key
+            g = _orbit_keys(np.eye(2 * n))[0]
+            z = np.dot(mu * v, g)
+            e = (z / abs(z) if abs(z) > 0 else 1.0) * g
         else:
             e = _gaussian(lr(2 * n, 2.0, field), rng)
         ex, exs = e[:n], e[n:]
-        ex = shrink[0] * tol * ex / max(np.linalg.norm(ex), 1e-300)
-        exs = shrink[1] * tol * exs / max(np.linalg.norm(exs), 1e-300)
-        moved = mu * v + np.concatenate([ex, exs])
-        keys = _orbit_keys(np.array([v, moved]))
-        vmax = max(np.linalg.norm(v), np.linalg.norm(moved))
-        assert abs(keys[1] - keys[0]) <= _key_window(tol, vmax, 2 * n)
+        ex = shrink[0] * ORBIT_TOL * ex / max(np.linalg.norm(ex), 1e-300)
+        exs = shrink[1] * ORBIT_TOL * exs / max(np.linalg.norm(exs), 1e-300)
+        keys, window = _orbit_keys(np.array([v, mu * v + np.concatenate([ex, exs])]))
+        assert abs(keys[1] - keys[0]) <= window
 
 
 class TestOrbitDedup:
     def test_negation_merged(self):
         e1 = np.array([1.0, 0.0])
         pairs = [NormingPair(e1, e1), NormingPair(-e1, -e1)]
-        assert len(orbit_dedup(pairs, REAL, 1e-6)) == 1
+        assert len(orbit_dedup(pairs)) == 1
 
     def test_complex_phase_merged(self):
         e1 = np.array([1.0 + 0j, 0.0])
         pairs = [NormingPair(e1, e1), NormingPair(1j * e1, 1j * e1)]
-        assert len(orbit_dedup(pairs, COMPLEX, 1e-6)) == 1
+        assert len(orbit_dedup(pairs)) == 1
 
     def test_distinct_kept(self):
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
         pairs = [NormingPair(e1, e1), NormingPair(e2, e2)]
-        assert len(orbit_dedup(pairs, REAL, 1e-6)) == 2
+        assert len(orbit_dedup(pairs)) == 2
 
     def test_founder_order_deterministic(self):
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
-        out = orbit_dedup([NormingPair(e2, e2), NormingPair(e1, e1)], REAL, 1e-6)
+        out = orbit_dedup([NormingPair(e2, e2), NormingPair(e1, e1)])
         np.testing.assert_array_equal(out[0].x, e2)
 
 
@@ -770,3 +756,10 @@ class TestNormProperties:
         via = radius(T, space, starts=8, attain_tol=None)
         assert via.value == own.value
         assert [o.value for o in via.attaining.orbits] == [o.value for o in own.attaining.orbits]
+
+    @pytest.mark.parametrize("space", [linf(2), hilbert(2, REAL)], ids=["exact", "smooth"])
+    @pytest.mark.parametrize("starts, seed, match", [(0, 0, "starts"), (-3, 0, "starts"), (4, -1, "seed")])
+    def test_dispatch_rejects_bad_starts_and_seed(self, space, starts, seed, match):
+        # the exact method ignores starts and seed, but radius() checks them for both
+        with pytest.raises(ValueError, match=match):
+            radius(single(np.eye(2)), space, starts=starts, seed=seed)
