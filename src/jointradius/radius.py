@@ -11,13 +11,20 @@ gradient ascent on the unit sphere with backtracking line search.  Each
 point the ascent visits is evaluated once: the gradient at an accepted
 candidate reuses that candidate's evaluation.  A start ends at a zero
 gradient, after three consecutive accepted steps that each gain at most
-1e-15 relative (rounding, or a null step that leaves x unchanged), or after
-MAX_ITER iterations.
+1e-15 relative (rounding, or a null step that leaves x unchanged), when its
+line search fails after two restarts, or after MAX_ITER iterations.
+
+The starts run in lockstep as the rows of one array, each with its own
+step, counters and random stream, and each stops by its own rule.  The
+backtracking is speculative: one pass evaluates a row at s, s/2, s/4 and
+s/8 and takes the first that passes, the point a halving loop accepts.
+Each start therefore reaches the floats it would reach alone.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,13 +33,14 @@ import numpy as np
 from .errors import Unsupported, ZeroRadius
 from .optuples import OperatorTuple, aggregate
 from .spaces import (
+    COMPLEX,
     NormingPair,
     SpaceDescriptor,
     _gaussian,
     _signed_power,
     admissible_pairs,
-    lp_norm,
     lp_norm_rows,
+    lp_power_sums,
     random_unit_vector,
     smooth_duality_vector,
 )
@@ -182,6 +190,10 @@ def _check_attain_tol(rel_tol: float) -> None:
 
 
 def _check_multistart(starts: int, seed: int) -> None:
+    """Reject a start count below 1, a negative seed, and either one not an integer (bools included)."""
+    for name, v in (("starts", starts), ("seed", seed)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     if seed < 0:
@@ -209,7 +221,10 @@ def radius_exact(
     pairs = admissible_pairs(space)
     P, D = pairs.primal, pairs.dual
     W = D @ T.matrices @ P.T  # W[i, j, k] = d_j(T_i p_k); the extremes are real
-    vals = lp_norm_rows(W[:, pairs.cols, pairs.rows].T, T.p)
+    scales, sums = lp_power_sums(W[:, pairs.cols, pairs.rows].T, T.p)
+    # numpy's vectorised root, which is faster on thousands of pairs than
+    # lp_norm_rows' C-library root; the slack below covers its rounding
+    vals = scales * sums ** (1.0 / T.p)
     # Both this pass and aggregate form z_i = x*(T_i x) from two length-n dot
     # products, in different orders, so each is within 2 n eps S of the exact
     # z_i (sqrt(2) more for complex T), with S = n^2 max|T| max|P| max|D|.
@@ -238,98 +253,154 @@ def radius_exact(
 
 
 class _Evaluation(NamedTuple):
-    """The objective at a unit vector x and the pieces its gradient reuses."""
+    """The objective at unit vectors x, one per row, and the pieces their gradients reuse."""
 
-    value: float
-    x: np.ndarray
+    value: np.ndarray  # (k,)
+    x: np.ndarray  # (k, n)
     a: np.ndarray  # |x_k|
     nz: np.ndarray  # |x_k| > 1e-300
     pw2: np.ndarray  # |x_k|^(r-2), zero convention
     s: np.ndarray  # functional coefficients conj(x_k)|x_k|^(r-2)
-    Y: np.ndarray  # d x n, row i is T_i x
-    z: np.ndarray  # pair image, z_i = sum_j s_j (T_i x)_j
+    Y: np.ndarray  # (k, d, n); Y[j, i] is T_i x of row j
+    z: np.ndarray  # (k, d) pair images, z_i = sum_l s_l (T_i x)_l
+
+    def take(self, idx) -> "_Evaluation":
+        return _Evaluation(*(f[idx] for f in self))
+
+    def put(self, idx, other: "_Evaluation") -> None:
+        for mine, theirs in zip(self, other):
+            mine[idx] = theirs
 
 
-def _objective(T: OperatorTuple, r: float, x: np.ndarray) -> _Evaluation:
-    """Evaluate ||(x*(T_i x))_i||_p, x* the duality image of the unit vector x."""
-    a = np.abs(x)
+# The stacked products below are written in the forms that give each row
+# the floats of the one-vector product it replaces (M @ x, Y @ s, s @ M,
+# zp @ A, np.vdot); M @ X.T and einsum round differently.
+
+
+def _real_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Re np.vdot(u, v) for each pair of rows."""
+    return (np.conj(U)[:, None, :] @ V[:, :, None])[:, 0, 0].real
+
+
+def _objective(T: OperatorTuple, r: float, X: np.ndarray) -> _Evaluation:
+    """Evaluate ||(x*(T_i x))_i||_p, x* the duality image of the unit vector x, for each row x of X."""
+    a = np.abs(X)
     nz = a > 1e-300
-    pw2 = np.zeros_like(x)
+    pw2 = np.zeros_like(X)
     pw2[nz] = a[nz] ** (r - 2.0)
-    s = np.conj(x) * pw2  # the floats of _signed_power(x, r - 2)
-    Y = T.matrices @ x
-    z = Y @ s
-    return _Evaluation(lp_norm(z, T.p), x, a, nz, pw2, s, Y, z)
+    s = np.conj(X) * pw2  # the floats of _signed_power(x, r - 2)
+    Y = np.matmul(T.matrices, X[:, None, :, None])[..., 0]
+    z = (Y @ s[:, :, None])[..., 0]
+    return _Evaluation(lp_norm_rows(z, T.p), X, a, nz, pw2, s, Y, z)
 
 
 def _gradient(T: OperatorTuple, r: float, ev: _Evaluation) -> np.ndarray:
-    """Riemannian-style gradient of the objective at the evaluated point.
+    """Riemannian-style gradient of the objective at each evaluated point, one per row.
 
-    Complex coordinates are treated as pairs of real ones; the returned
-    vector is the steepest-ascent direction under the real inner product
-    Re<., .>.
+    Complex coordinates are treated as pairs of real ones; each row is the
+    steepest-ascent direction under the real inner product Re<., .>.
     """
-    if ev.value == 0.0:
-        return np.zeros_like(ev.x)
     x, a, nz, pw2, s, Y = ev.x, ev.a, ev.nz, ev.pw2, ev.s, ev.Y
     # conj(x_k)^2 |x_k|^(r-4), written so that no factor over- or underflows
     c2 = np.zeros_like(x)
     c2[nz] = (np.conj(x[nz]) / a[nz]) ** 2 * pw2[nz]
 
-    zp = _signed_power(ev.z / ev.value, T.p - 2.0)  # conj(z_i)|z_i|^(p-2) / val^(p-1)
-    A = (r / 2.0) * pw2[None, :] * Y
-    B = ((r - 2.0) / 2.0) * c2[None, :] * Y + s @ T.matrices  # row i is T_i^T s
-    G = zp @ A + np.conj(zp @ B)
+    # a zero objective has z = 0, so zp = 0 and the gradient is 0
+    val = np.where(ev.value == 0.0, 1.0, ev.value)[:, None]
+    zp = _signed_power(ev.z / val, T.p - 2.0)[:, None, :]  # conj(z_i)|z_i|^(p-2) / val^(p-1)
+    A = ((r / 2.0) * pw2)[:, None, :] * Y
+    sT = (s[:, None, None, :] @ T.matrices)[:, :, 0, :]  # row i is T_i^T s
+    B = (((r - 2.0) / 2.0) * c2)[:, None, :] * Y + sT
+    G = (zp @ A)[:, 0, :] + np.conj((zp @ B)[:, 0, :])
 
-    # project onto the tangent of the l_r sphere at x
+    # project onto the tangent of the l_r sphere at x; |nu| > 0 on a unit vector
     nu = np.conj(s)  # gradient direction of the norm, x_k|x_k|^(r-2)
-    denom = float(np.real(np.vdot(nu, nu)))
-    if denom > 0:
-        G = G - (float(np.real(np.vdot(nu, G))) / denom) * nu
+    G -= (_real_dots(nu, G) / _real_dots(nu, nu))[:, None] * nu
     return G
 
 
-def _normalize(y: np.ndarray, r: float) -> np.ndarray:
-    x = y / lp_norm(y, r)
-    return x / lp_norm(x, r)
+def _normalize(Y: np.ndarray, r: float) -> np.ndarray:
+    X = Y / lp_norm_rows(Y, r)[:, None]
+    return X / lp_norm_rows(X, r)[:, None]
+
+
+_HALVINGS = 0.5 ** np.arange(4.0)  # the steps s, s/2, s/4, s/8 one backtracking pass tries
+
+
+def _ascend_all(T: OperatorTuple, space: SpaceDescriptor, X0: np.ndarray, rngs):
+    """Ascend from every row of X0 in lockstep; returns (values, X, iters).
+
+    Row j is the start x0 = X0[j]; its restarts draw from rngs[j].  Each row
+    keeps its own step, stall count and restart count, and ends by its own
+    stop rule, so it reaches the floats it would reach alone:
+    - Each round takes one iteration of every live row: one gradient, a
+      backtracking search, and a restart where the search fails.
+    - A backtracking pass evaluates each pending row at s, s/2, s/4 and s/8
+      at once and takes its first candidate that passes the Armijo test.
+      That is the point a halving loop accepts, as halving is exact.
+    - iters[j] counts the gradients of row j, one per iteration.
+    """
+    r = space.norm.r
+    ev = _objective(T, r, _normalize(X0, r))
+    k = len(X0)
+    values, X, iters = np.empty(k), np.empty_like(ev.x), np.zeros(k, dtype=int)
+    # the rows of ev, step, stalls and restarts belong to the live starts
+    # ids; a start leaves them in the round it stops
+    ids = np.arange(k)
+    step = np.ones(k)
+    stalls, restarts = np.zeros((2, k), dtype=int)
+    while ids.size:
+        fval = ev.value.copy()  # the search below replaces the rows of ev it accepts
+        G = _gradient(T, r, ev)
+        gn2 = _real_dots(G, G)
+        iters[ids] += 1
+        stop = gn2 == 0.0
+        todo = np.flatnonzero(~stop)  # rows still searching
+        s = np.minimum(4.0 * step[todo], 1.0 / (1.0 + np.sqrt(gn2[todo])))
+        failed = np.zeros(ids.size, dtype=bool)
+        while todo.size:
+            steps = s[:, None] * _HALVINGS
+            row, col = np.nonzero(steps >= MIN_STEP)
+            i, cs = todo[row], steps[row, col]
+            cand = _objective(T, r, _normalize(ev.x[i] + cs[:, None] * G[i], r))
+            # c = 0.3 keeps the accepted step below 1.4/curvature, so the
+            # local contraction factor stays bounded away from 1
+            c = np.flatnonzero(cand.value >= fval[i] + 0.3 * cs * gn2[i])
+            rc, first = row[c], np.ones(c.size, dtype=bool)
+            first[1:] = rc[1:] != rc[:-1]
+            c = c[first]  # the first passing candidate of each row
+            j, f = i[c], fval[i[c]]
+            # a gain below 1e-15 f is rounding; a null step (cand == x) gains 0
+            stalls[j] = np.where(cand.value[c] - f <= 1e-15 * np.abs(f), stalls[j] + 1, 0)
+            step[j] = cs[c]
+            ev.put(j, cand.take(c))
+            hit = np.zeros(todo.size, dtype=bool)
+            hit[row[c]] = True
+            more = ~hit & (s * 0.0625 >= MIN_STEP)
+            failed[todo[~hit & ~more]] = True
+            todo, s = todo[more], s[more] * 0.0625
+        # a failed search may be a stall at a kink (some z_i = 0 with p < 2):
+        # restart the row from a small perturbation, at most twice
+        stop |= failed & (restarts == 2)
+        again = np.flatnonzero(failed & (restarts < 2))
+        if again.size:
+            Y = np.array([ev.x[j] + 1e-3 * _gaussian(space, rngs[ids[j]]) for j in again])
+            ev.put(again, _objective(T, r, _normalize(Y, r)))
+            restarts[again] += 1
+            stalls[again] = 0
+            step[again] = 1.0
+        stop |= (stalls == 3) | (iters[ids] == MAX_ITER)
+        if stop.any():
+            values[ids[stop]], X[ids[stop]] = ev.value[stop], ev.x[stop]
+            keep = ~stop
+            ids, ev, step, stalls, restarts = ids[keep], ev.take(keep), step[keep], stalls[keep], restarts[keep]
+    return values, X, iters
 
 
 def _ascend(T: OperatorTuple, space: SpaceDescriptor, x0: np.ndarray, rng):
-    r = space.norm.r
-    ev = _objective(T, r, _normalize(x0, r))
-    step = 1.0
-    restarts = stalls = 0
-    for _ in range(MAX_ITER):
-        fval = ev.value
-        G = _gradient(T, r, ev)
-        gn2 = float(np.real(np.vdot(G, G)))
-        if gn2 == 0.0:
-            break
-        s = min(4.0 * step, 1.0 / (1.0 + math.sqrt(gn2)))
-        accepted = False
-        while s >= MIN_STEP:
-            cand = _objective(T, r, _normalize(ev.x + s * G, r))
-            # c = 0.3 keeps the accepted step below 1.4/curvature, so the
-            # local contraction factor stays bounded away from 1
-            if cand.value >= fval + 0.3 * s * gn2:
-                # a gain below 1e-15 f is rounding; a null step (cand == x) gains 0
-                stalls = stalls + 1 if cand.value - fval <= 1e-15 * abs(fval) else 0
-                ev, step, accepted = cand, s, True
-                break
-            s *= 0.5
-        if not accepted:
-            # possible stall at a kink (some z_i = 0 with p < 2): restart
-            # this seed from a small perturbation, at most twice
-            if restarts < 2:
-                restarts += 1
-                stalls = 0
-                ev = _objective(T, r, _normalize(ev.x + 1e-3 * _gaussian(space, rng), r))
-                step = 1.0
-                continue
-            break
-        if stalls == 3:
-            break
-    return ev.value, ev.x
+    """One start: the one-row case of `_ascend_all`; returns (value, x)."""
+    values, X, _ = _ascend_all(T, space, x0[None], [rng])
+    return float(values[0]), X[0]
 
 
 def radius_smooth(
@@ -339,20 +410,28 @@ def radius_smooth(
     seed: int = 0,
     attain_tol: float = ATTAIN_TOL_SMOOTH,
 ) -> RadiusResult:
-    """Multi-start projected gradient ascent on a smooth l_r space."""
+    """Multi-start projected gradient ascent on a smooth l_r space.
+
+    Start k draws its initial point and its restarts from
+    default_rng([seed, k]).  The starts run in lockstep, in blocks of at
+    most DEFAULT_STARTS rows, so memory does not grow with `starts`.
+    """
     if not space.is_smooth_lp:
         raise Unsupported("radius_smooth requires an l_r space with 1 < r < inf")
+    if T.field == COMPLEX and space.field != COMPLEX:
+        raise Unsupported("radius_smooth on a real space requires a real tuple")
     _check_multistart(starts, seed)
     _check_attain_tol(attain_tol)
     # the ascent's step cap and stop test are not scale-free, so it runs on
     # T / max|T_ij| (a division: 1/m overflows for subnormal m)
     m = T.max_entry() or 1.0
     unit = OperatorTuple(T.matrices / m, p=T.p, field=T.field)
+    r = space.norm.r
     scored = []
-    for k in range(starts):
-        rng = np.random.default_rng([seed, k])
-        fval, x = _ascend(unit, space, random_unit_vector(space, rng), rng)
-        scored.append((m * fval, NormingPair(x, smooth_duality_vector(x, space.norm.r))))
+    for lo in range(0, starts, DEFAULT_STARTS):
+        rngs = [np.random.default_rng([seed, k]) for k in range(lo, min(lo + DEFAULT_STARTS, starts))]
+        values, X, _ = _ascend_all(unit, space, np.array([random_unit_vector(space, g) for g in rngs]), rngs)
+        scored += [(m * v, NormingPair(x, smooth_duality_vector(x, r))) for v, x in zip(values.tolist(), X)]
     value, attaining = _build_attaining(scored, False, attain_tol)
     return RadiusResult(
         value=value,

@@ -144,41 +144,58 @@ def dual_norm_eval(space: SpaceDescriptor, u) -> float:
 
 
 def lp_norm(z: np.ndarray, p: float) -> float:
-    """l_p norm of the vector z, computed as m * ||z / m||_p with m = max |z_i|.
+    """l_p norm of the vector z: the one-row case of `lp_norm_rows`, with the same floats.
 
-    Dividing by m first keeps |z_i|^p inside the floating-point range for
-    any scale of z and any p >= 1.  Below 8 entries numpy's max and sum cost
-    more than the arithmetic, so the reductions run in Python; numpy sums
-    so few entries left to right as well, so the floats are the same.
+    Below 8 entries numpy's per-call cost exceeds the arithmetic, so the
+    same steps run here with the reductions and the root in Python floats:
+    numpy sums so few entries left to right as well, and Python's
+    float ** float calls the C library's pow, as `lp_norm_rows` does.
     """
     a = np.abs(z)  # a fresh array, so it is scaled and raised in place
     short = a.size < 8
     m = max(a.tolist()) if short else a.max()
     if not 0.0 < m < math.inf:
         return float(a.max())  # 0, inf or NaN; numpy's max lets a NaN through
+    if not short:
+        return float(lp_norm_rows(a[None], p)[0])
     a /= m
     a **= p
+    total = 0.0
+    for v in a.tolist():  # not sum(): Python 3.12+ compensates it
+        total += v
+    return m * total ** (1.0 / p)
+
+
+def lp_power_sums(Z: np.ndarray, p: float):
+    """Row scales m = max |z_i| (1 on a zero row) and sums sum_i (|z_i| / m)^p of the finite 2-D array Z.
+
+    The l_p norm of a row is m * sum^(1/p).  Dividing by m first keeps
+    |z_i|^p inside the floating-point range for any scale of z and any
+    p >= 1.  Rows shorter than 8 are summed on a column-major copy, which
+    adds whole columns at once, left to right, as numpy sums so few entries;
+    longer rows are summed in place, by numpy's pairwise sum of each row.
+    """
+    A = np.abs(Z)
+    short = A.shape[1] < 8
     if short:
-        total = 0.0
-        for v in a.tolist():  # not sum(): Python 3.12+ compensates it
-            total += v
-    else:
-        total = a.sum()
-    return float(m * total ** (1.0 / p))
+        A = np.ascontiguousarray(A.T)  # no copy when Z is a transposed C array
+    m = A.max(axis=0 if short else 1)
+    m[m == 0] = 1.0  # a zero row has norm 0 at any scale
+    A /= m if short else m[:, None]
+    A **= p
+    return m, A.sum(axis=0 if short else 1)
 
 
 def lp_norm_rows(Z: np.ndarray, p: float) -> np.ndarray:
-    """l_p norm of each row of the 2-D array Z, scaled by the row's max |z_i| as in `lp_norm`.
+    """l_p norm of each row of the finite 2-D array Z, with the floats `lp_norm` gives the row alone.
 
-    The work runs on a column-major copy: numpy reduces short contiguous rows
-    entry by entry, but adds whole columns at once.
+    The root is taken with np.float_power, which calls the C library's pow
+    as Python's float ** float does.  numpy's ** on a float array may use a
+    vectorised pow instead, which rounds differently on about 5 % of inputs
+    on AVX-512 hosts.
     """
-    A = np.ascontiguousarray(np.abs(Z).T)  # no copy when Z is a transposed C array
-    m = A.max(axis=0)
-    m[m == 0] = 1.0  # a zero row has norm 0 at any scale
-    A /= m
-    A **= p
-    return m * A.sum(axis=0) ** (1.0 / p)
+    m, sums = lp_power_sums(Z, p)
+    return m * np.float_power(sums, 1.0 / p)
 
 
 def _signed_power(z: np.ndarray, e: float) -> np.ndarray:

@@ -25,10 +25,11 @@ from jointradius import (
     smoothness,
 )
 from jointradius.radius import (
+    DEFAULT_STARTS,
     MAX_ITER,
-    MIN_STEP,
     ORBIT_TOL,
     _ascend,
+    _ascend_all,
     _build_attaining,
     _gradient,
     _objective,
@@ -216,14 +217,19 @@ class TestRadiusSmooth:
         with pytest.raises(Unsupported):
             radius_smooth(single(np.eye(2)), linf(2))
 
+    def test_complex_tuple_on_real_space_is_unsupported(self):
+        # the ascent would step off the real sphere along complex directions
+        with pytest.raises(Unsupported, match="real tuple"):
+            radius_smooth(single([[1.0, 2j], [0.5, 1.0]], field=COMPLEX), lr(2, 3.0), starts=2)
+
 
 class TestGradient:
     def test_tiny_coordinate_gives_finite_gradient(self):
         # conj(x_k)^2 |x_k|^(r-4) was 0 * inf here
         T = single([[1.0, 2.0], [3.0, 4.0]])
-        ev = _objective(T, 1.5, np.array([1.0, 1e-200]))
+        ev = _objective(T, 1.5, np.array([[1.0, 1e-200]]))
         G = _gradient(T, 1.5, ev)
-        assert ev.value > 0
+        assert ev.value[0] > 0
         assert np.all(np.isfinite(G))
 
 
@@ -297,53 +303,46 @@ class TestDegenerate:
         assert rr.degenerate
 
 
-def _count_gradient_calls(monkeypatch):
-    """Per-start `_gradient` call counts of every `_ascend` run from now on."""
+def _record_iters(monkeypatch):
+    """Per-start iteration counts of every `_ascend_all` run from now on."""
     module = sys.modules["jointradius.radius"]
-    counts = []
-    gradient, ascend = module._gradient, module._ascend
+    engine, iters = module._ascend_all, []
 
-    def counted_gradient(*args):
-        counts[-1] += 1
-        return gradient(*args)
+    def recorded(*args):
+        out = engine(*args)
+        iters.extend(out[2].tolist())
+        return out
 
-    def counted_ascend(*args):
-        counts.append(0)
-        return ascend(*args)
-
-    monkeypatch.setattr(module, "_gradient", counted_gradient)
-    monkeypatch.setattr(module, "_ascend", counted_ascend)
-    return counts
+    monkeypatch.setattr(module, "_ascend_all", recorded)
+    return iters
 
 
 class TestAscentStop:
     def test_generic_starts_stop_long_before_max_iter(self, rng, monkeypatch):
-        counts = _count_gradient_calls(monkeypatch)
+        iters = _record_iters(monkeypatch)
         T = random_tuple(2, 3, REAL, 2.0, rng)
         radius_smooth(T, hilbert(3, REAL), starts=8, seed=0)
-        assert len(counts) == 8
-        assert max(counts) <= MAX_ITER // 5
+        assert len(iters) == 8
+        assert max(iters) <= MAX_ITER // 5
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_identity_takes_one_gradient_per_start(self, field, monkeypatch):
-        counts = _count_gradient_calls(monkeypatch)
+        iters = _record_iters(monkeypatch)
         T = single(np.eye(3), field=field)
         rr = radius_smooth(T, hilbert(3, field), starts=8, seed=0)
-        assert counts == [1] * 8
+        assert iters == [1] * 8
         assert rr.value == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("field, r", [(REAL, 2.0), (REAL, 3.0), (COMPLEX, 1.5)])
-    def test_restart_from_converged_point_stops_at_once(self, rng, field, r, monkeypatch):
+    def test_restart_from_converged_point_stops_at_once(self, rng, field, r):
         sp = lr(3, r, field)
         T = random_tuple(2, 3, field, 2.0, rng)
         unit = OperatorTuple(T.matrices / T.max_entry(), p=T.p, field=T.field)
         start = np.random.default_rng([0, 0])
         fval, x = _ascend(unit, sp, random_unit_vector(sp, start), start)
-        counts = _count_gradient_calls(monkeypatch)
-        # through the module, so that the counting wrapper opens a count
-        again, _ = sys.modules["jointradius.radius"]._ascend(unit, sp, x, np.random.default_rng(1))
-        assert counts[0] <= 4
-        assert again == pytest.approx(fval, rel=1e-15)
+        again, _, iters = _ascend_all(unit, sp, x[None], [np.random.default_rng(1)])
+        assert iters[0] <= 4
+        assert again[0] == pytest.approx(fval, rel=1e-15)
 
 
 def _unfused_objective(T, r, x):
@@ -382,19 +381,26 @@ def _unfused_normalize(space, y):
 
 
 def _unfused_ascend(T, space, x0, rng):
-    """The ascent that evaluated every accepted point twice."""
+    """One start of the ascent as it was before its starts ran in lockstep and
+    before it evaluated each point once; returns (value, x, iterations, restarts).
+
+    The step floor is read at call time, so that a test can raise it for
+    this loop and the engine alike.
+    """
     r = space.norm.r
+    min_step = sys.modules["jointradius.radius"].MIN_STEP
     x = _unfused_normalize(space, x0)
     step = 1.0
-    restarts = stalls = 0
+    restarts = stalls = iters = 0
     for _ in range(MAX_ITER):
+        iters += 1
         fval, G = _unfused_gradient(T, r, x)
         gn2 = float(np.real(np.vdot(G, G)))
         if gn2 == 0.0:
             break
         s = min(4.0 * step, 1.0 / (1.0 + math.sqrt(gn2)))
         accepted = False
-        while s >= MIN_STEP:
+        while s >= min_step:
             cand = _unfused_normalize(space, x + s * G)
             fc = _unfused_objective(T, r, cand)
             if fc >= fval + 0.3 * s * gn2:
@@ -413,34 +419,79 @@ def _unfused_ascend(T, space, x0, rng):
             break
         if stalls == 3:
             break
-    return fval, x
+    return fval, x, iters, restarts
 
 
-def _assert_same_ascent(T, space, x0, seed):
-    want_f, want_x = _unfused_ascend(T, space, x0, np.random.default_rng(seed))
-    got_f, got_x = _ascend(T, space, x0, np.random.default_rng(seed))
-    assert got_f == want_f
-    assert np.array_equal(got_x, want_x)
+def _unit(T):
+    return OperatorTuple(T.matrices / T.max_entry(), p=T.p, field=T.field)
+
+
+def _starts(space, seed, count, fixed=()):
+    """radius_smooth's first `count` starts and their streams; the rows of `fixed` replace the first starts."""
+    rngs = [np.random.default_rng([seed, k]) for k in range(count)]
+    X0 = np.array([random_unit_vector(space, g) for g in rngs])
+    if len(fixed):
+        X0[: len(fixed)] = fixed
+    return X0, rngs
+
+
+def _assert_rows_match_unfused(T, space, fixed=(), seed=0):
+    """Every row of the engine on 8 starts, bit for bit, against `_unfused_ascend`
+    from the same start and stream; returns (iterations, restarts) per row."""
+    values, X, iters = _ascend_all(T, space, *_starts(space, seed, 8, fixed))
+    X0, rngs = _starts(space, seed, 8, fixed)
+    restarts = []
+    for k in range(8):
+        want_f, want_x, want_iters, want_restarts = _unfused_ascend(T, space, X0[k], rngs[k])
+        assert values[k] == want_f, k
+        assert X[k].dtype == want_x.dtype and X[k].tobytes() == want_x.tobytes(), k
+        assert iters[k] == want_iters, k
+        restarts.append(want_restarts)
+    return iters.tolist(), restarts
 
 
 class TestFusedAscent:
-    """Evaluating each point once must not move a single bit of any start."""
+    """Neither evaluating each point once nor running the starts in lockstep
+    may move a single bit of any start."""
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_matches_unfused_ascent(self, rng, field, r, p):
-        sp = lr(3, r, field)
-        T = random_tuple(2, 3, field, p, rng)
-        unit = OperatorTuple(T.matrices / T.max_entry(), p=T.p, field=T.field)
-        for k in range(8):
-            start = np.random.default_rng([0, k])
-            _assert_same_ascent(unit, sp, random_unit_vector(sp, start), [0, k])
+        T = _unit(random_tuple(2, 3, field, p, rng))
+        iters, _ = _assert_rows_match_unfused(T, lr(3, r, field))
+        assert len(set(iters)) > 1  # rows retire in different rounds
+
+    def test_restart_at_a_kink(self):
+        # on complex l_1.5 a search fails near a kink of the objective and
+        # start 4 restarts once, while the other starts run on
+        T = _unit(single([[-0.2 + 0.5j, 0.9 - 0.1j], [0.8 + 0.7j, -0.2]], p=1.2, field=COMPLEX))
+        _, restarts = _assert_rows_match_unfused(T, lr(2, 1.5, COMPLEX))
+        assert restarts == [0, 0, 0, 0, 1, 0, 0, 0]
+
+    @pytest.mark.parametrize("min_step", [0.05, 10.0])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_failed_searches_restart_then_stop(self, rng, monkeypatch, min_step, field):
+        # a high step floor fails searches: at 10 every search fails, so each
+        # row restarts twice and stops in its third iteration
+        monkeypatch.setattr(sys.modules["jointradius.radius"], "MIN_STEP", min_step)
+        T = _unit(random_tuple(2, 3, field, 1.5, rng))
+        iters, restarts = _assert_rows_match_unfused(T, lr(3, 1.5, field))
+        if min_step > 1.0:
+            assert iters == [3] * 8 and restarts == [2] * 8
+        else:
+            assert 0 < sum(restarts) < 16
+
+    @pytest.mark.parametrize("r", [2.0, 3.0])
+    def test_zero_gradient_row_beside_live_rows(self, r):
+        # e_1 is a critical point of diag(2, 1), where the gradient is exactly 0
+        T = _unit(single(np.diag([2.0, 1.0])))
+        iters, _ = _assert_rows_match_unfused(T, lr(2, r), fixed=[[1.0, 0.0]])
+        assert iters[0] == 1 and min(iters[1:]) > 1
 
     def test_matches_unfused_ascent_at_tiny_coordinate(self):
-        T = single([[1.0, 2.0], [3.0, 4.0]])
-        unit = OperatorTuple(T.matrices / T.max_entry(), p=T.p, field=T.field)
-        _assert_same_ascent(unit, lr(2, 1.5), np.array([1.0, 1e-200]), 0)
+        T = _unit(single([[1.0, 2.0], [3.0, 4.0]]))
+        _assert_rows_match_unfused(T, lr(2, 1.5), fixed=[[1.0, 1e-200]])
 
     def test_gradient_never_evaluates_the_objective(self, rng, monkeypatch):
         module = sys.modules["jointradius.radius"]
@@ -465,6 +516,59 @@ class TestFusedAscent:
         assert leaks and not any(leaks)
 
 
+def _per_start(T, space, starts, seed):
+    """Each start's (value, x) as radius_smooth's lockstep blocks return them, and the block sizes."""
+    module = sys.modules["jointradius.radius"]
+    engine, blocks = module._ascend_all, []
+
+    def recorded(*args):
+        blocks.append(engine(*args))
+        return blocks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_ascend_all", recorded)
+        radius_smooth(T, space, starts=starts, seed=seed)
+    values = np.concatenate([b[0] for b in blocks])
+    return values, np.concatenate([b[1] for b in blocks]), [len(b[0]) for b in blocks]
+
+
+def _alone(T, space, seed, k):
+    """Start k of radius_smooth, run by itself."""
+    rng = np.random.default_rng([seed, k])
+    return _ascend(_unit(T), space, random_unit_vector(space, rng), rng)
+
+
+class TestStartIndependence:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        k=st.integers(0, 7),
+        field=st.sampled_from([REAL, COMPLEX]),
+        r=st.sampled_from([1.5, 2.0, 3.0]),
+        p=st.sampled_from([1.5, 3.0]),
+        tuple_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**16),
+    )
+    def test_start_does_not_depend_on_its_neighbours(self, k, field, r, p, tuple_seed, seed):
+        T = random_tuple(2, 3, field, p, np.random.default_rng(tuple_seed))
+        sp = lr(3, r, field)
+        want_f, want_x = _alone(T, sp, seed, k)
+        for starts in (k + 1, 8, DEFAULT_STARTS + 1):
+            values, X, _ = _per_start(T, sp, starts, seed)
+            assert values[k] == want_f
+            assert X[k].tobytes() == want_x.tobytes()
+
+    def test_blocks_give_each_start_its_own_floats(self):
+        # starts run in blocks of at most DEFAULT_STARTS rows
+        T = random_tuple(1, 2, REAL, 2.0, np.random.default_rng(5))
+        sp = lr(2, 3.0)
+        values, X, blocks = _per_start(T, sp, DEFAULT_STARTS + 1, 0)
+        assert blocks == [DEFAULT_STARTS, 1]
+        for k in range(DEFAULT_STARTS + 1):
+            want_f, want_x = _alone(T, sp, 0, k)
+            assert values[k] == want_f
+            assert X[k].tobytes() == want_x.tobytes()
+
+
 class TestAttainTolRange:
     @pytest.mark.parametrize("tol", [-1.0, -1e-300, 1.0, 2.0, math.nan, math.inf])
     def test_exact_rejects(self, tol):
@@ -482,6 +586,7 @@ class TestAttainTolRange:
             raise AssertionError("the solve ran before the tolerance check")
 
         monkeypatch.setattr(sys.modules["jointradius.radius"], "_ascend", solve)
+        monkeypatch.setattr(sys.modules["jointradius.radius"], "_ascend_all", solve)
         monkeypatch.setattr(sys.modules["jointradius.radius"], "aggregate", solve)
         T = single(np.diag([1.0, -1.0]))
         with pytest.raises(ValueError, match="attaining tolerance"):
@@ -763,3 +868,18 @@ class TestNormProperties:
         # the exact method ignores starts and seed, but radius() checks them for both
         with pytest.raises(ValueError, match=match):
             radius(single(np.eye(2)), space, starts=starts, seed=seed)
+
+    @pytest.mark.parametrize("space", [linf(2), hilbert(2, REAL)], ids=["exact", "smooth"])
+    @pytest.mark.parametrize(
+        "starts, seed, match",
+        [(2.5, 0, "starts"), (2.0, 0, "starts"), (True, 0, "starts"), (4, 1.0, "seed"), (4, False, "seed"), (4, "1", "seed")],
+    )
+    def test_dispatch_rejects_non_integral_starts_and_seed(self, space, starts, seed, match):
+        # integers only: Python counts a bool as an int, and a float count has no meaning
+        with pytest.raises(ValueError, match=f"{match} must be an integer"):
+            radius(single(np.eye(2)), space, starts=starts, seed=seed)
+
+    @pytest.mark.parametrize("space", [linf(2), hilbert(2, REAL)], ids=["exact", "smooth"])
+    def test_dispatch_accepts_numpy_integers(self, space):
+        rr = radius(single(np.eye(2)), space, starts=np.int64(2), seed=np.uint8(3))
+        assert rr.value == pytest.approx(1.0)
