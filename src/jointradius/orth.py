@@ -19,7 +19,7 @@ from .lp import LP_TOL, HullProblem, hull_membership
 from .optuples import OperatorTuple
 from .radius import RadiusResult
 from .spaces import SpaceDescriptor
-from .subdiff import evaluate, generators
+from .subdiff import _table, evaluate
 
 DEPENDENT_TOL = 1e-10
 WEIGHT_SUM_TOL = 1e-10
@@ -64,11 +64,6 @@ def _check_subspace_independent(T: OperatorTuple, V: TupleSubspace) -> None:
         raise DependentDirection("T lies in the span of the subspace basis")
 
 
-def _rows(T: OperatorTuple, V: TupleSubspace, space: SpaceDescriptor, rr: RadiusResult):
-    """One constraint row per attaining orbit: its generator applied to each basis tuple."""
-    return evaluate(generators(T, space, rr), V.basis)
-
-
 def _decide(rows: np.ndarray, rr: RadiusResult, ref: float) -> OrthResult:
     # rows are complex exactly on complex-field data; split them into [Re | Im]
     points = np.hstack([rows.real, rows.imag]) if np.iscomplexobj(rows) else rows
@@ -105,7 +100,7 @@ def orth_subspace(
     T._check_compatible(V.basis[0])
     _check_subspace_independent(T, V)
     ref = max(S.max_entry() for S in V.basis)
-    return _decide(_rows(T, V, space, rr), rr, ref)
+    return _decide(evaluate(_table(T, rr), V.basis), rr, ref)
 
 
 def verify_certificate(
@@ -126,7 +121,7 @@ def verify_certificate(
     if any(t <= 0 for _, t in cert.weights):
         raise InvalidCertificate("certificate weights must be strictly positive")
     V = direction if isinstance(direction, TupleSubspace) else _scaling_family(direction)
-    rows = _rows(T, V, space, rr)
+    rows = evaluate(_table(T, rr), V.basis)
     acc = 0.0
     for j, t in cert.weights:
         if not (0 <= j < len(rows)):

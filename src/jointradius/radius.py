@@ -34,6 +34,8 @@ from .errors import Unsupported, ZeroRadius
 from .optuples import OperatorTuple, aggregate
 from .spaces import (
     COMPLEX,
+    ENTRY_BUDGET,
+    ORBIT_TOL,
     NormingPair,
     SpaceDescriptor,
     _gaussian,
@@ -50,7 +52,6 @@ MULTI_START = "MultiStart"
 
 ATTAIN_TOL_EXACT = 1e-12
 ATTAIN_TOL_SMOOTH = 1e-8
-ORBIT_TOL = 1e-6
 
 DEFAULT_STARTS = 64
 MAX_ITER = 500
@@ -220,6 +221,8 @@ def radius_exact(
     _check_attain_tol(attain_tol)
     pairs = admissible_pairs(space)
     P, D = pairs.primal, pairs.dual
+    if T.d * len(D) * len(P) > ENTRY_BUDGET:  # W, refused before it is formed; its gather is no larger
+        raise Unsupported(f"the {T.d} x {len(D)} x {len(P)} scores exceed the entry budget {ENTRY_BUDGET}")
     W = D @ T.matrices @ P.T  # W[i, j, k] = d_j(T_i p_k); the extremes are real
     scales, sums = lp_power_sums(W[:, pairs.cols, pairs.rows].T, T.p)
     # numpy's vectorised root, which is faster on thousands of pairs than

@@ -26,9 +26,10 @@ COMPLEX = "complex"
 DESCRIPTOR_TOL = 1e-12
 PAIR_TOL = 1e-10
 ACTIVE_TOL = 1e-10
+ORBIT_TOL = 1e-6  # distance below which two pairs can be orbit mates
 
-# {+-1}^n enumeration cap: 2^20 is about 10^6 extreme points.
-SIGN_ENUM_CAP = 20
+# entries in one array built from the extreme points: 2^24 float64 are 128 MiB
+ENTRY_BUDGET = 1 << 24
 
 
 def conjugate_exponent(r: float) -> float:
@@ -87,6 +88,10 @@ class SpaceDescriptor:
             gaps = np.max(np.abs(E[:, None, :] + E[None, :, :]), axis=2)
             if not np.all(np.any(gaps <= DESCRIPTOR_TOL, axis=1)):
                 raise InvalidDescriptor(f"{name} extremes not closed under negation")
+            # no two rows within ORBIT_TOL (the diagonal holds len(E) zeros): their pairs would merge
+            near = np.linalg.norm(E[:, None, :] - E[None, :, :], axis=2) <= ORBIT_TOL
+            if np.count_nonzero(near) > len(E):
+                raise InvalidDescriptor(f"two {name} extremes lie within {ORBIT_TOL} of each other")
         G = np.abs(D @ P.T)  # |<u, v>| for every (u, v)
         if np.max(np.abs(G.max(axis=0) - 1.0)) > DESCRIPTOR_TOL:
             raise InvalidDescriptor("primal extremes are not unit vectors of the polyhedral norm")
@@ -241,8 +246,9 @@ def extreme_points(space: SpaceDescriptor):
     if space.field != REAL:
         raise Unsupported("extreme structure of complex l_1/l_inf is not implemented")
     n = space.dim
-    if n > SIGN_ENUM_CAP:
-        raise Unsupported(f"sign-vector enumeration capped at dim {SIGN_ENUM_CAP}")
+    # the (2^n, 2n) pair table, checked before any allocation; any n >= 64 is far over budget
+    if (2 * n) << min(n, 64) > ENTRY_BUDGET:
+        raise Unsupported(f"real l_1/l_inf of dim {n} has more extreme pairs than the entry budget")
     signs = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
     units = np.kron(np.eye(n), [[1.0], [-1.0]]) + 0.0  # kron leaves -0.0 in the -e_k rows
     return (units, signs) if space.norm.r == 1 else (signs, units)

@@ -1,12 +1,12 @@
 """Subdifferential generators, one-sided Gateaux derivatives, smoothness.
 
 Every norm-one functional supporting the joint radius at T is a convex
-combination of rank-one generators built from attaining extreme pairs;
-this module emits one generator per unimodular orbit (orbit-mates induce
-the same functional), evaluates them, and derives the one-sided
-derivative range and the smoothness verdict from the orbit structure.
-The rows x*(S_i x) of all orbit representatives are built as one stacked
-array (`pair_images`), for the coefficients and for every direction.
+combination of rank-one generators f_k(S) = sum_i alpha_ki x_k*(S_i x_k),
+one per attaining unimodular orbit (orbit-mates induce the same
+functional).  `_table` stacks them as (X, XS, alpha): the orbit
+representatives and their coefficient rows.  `evaluate` reads it in one
+array pass per direction, for the derivative range and the orthogonality
+rows; only `generators` wraps its rows as `SubdiffGenerator` objects.
 """
 
 from __future__ import annotations
@@ -51,38 +51,40 @@ class SmoothnessReport:
         return self.verdict == SMOOTH
 
 
-def generators(T: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult):
-    """One subdifferential generator per attaining orbit representative.
+def _table(T: OperatorTuple, rr: RadiusResult):
+    """Row k: orbit k's representative (X[k], XS[k]) and coefficients alpha[k].
 
-    All coefficient vectors come from one stacked expression,
-    `coefficient_rows`, which warns when a representative does not attain
-    the radius within 1e-6 relative.
+    `coefficient_rows` warns when a representative does not attain the
+    radius within 1e-6 relative.
     """
     _require_positive(rr)
     reps = [orb.representative for orb in rr.attaining.orbits]
-    alpha = coefficient_rows(T, *_stack_pairs(reps), rr.value)
-    return [SubdiffGenerator(pair=pr, alpha=a) for pr, a in zip(reps, alpha)]
+    X, XS = np.array([pr.x for pr in reps]), np.array([pr.x_star for pr in reps])
+    return X, XS, coefficient_rows(T, X, XS, rr.value)
 
 
-def _stack_pairs(pairs):
-    return np.array([pr.x for pr in pairs]), np.array([pr.x_star for pr in pairs])
+def generators(T: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult):
+    """One subdifferential generator per attaining orbit representative: the rows of `_table`."""
+    orbits, alpha = rr.attaining.orbits, _table(T, rr)[2]
+    return [SubdiffGenerator(pair=orb.representative, alpha=a) for orb, a in zip(orbits, alpha)]
 
 
-def evaluate(gens, directions) -> np.ndarray:
+def evaluate(table, directions) -> np.ndarray:
     """Matrix of f_k(S) = sum_i alpha_i x*(S_i x), one row per generator f_k
-    and one column per direction S, each column in one array pass."""
-    alpha = np.array([g.alpha for g in gens])
-    X, XS = _stack_pairs([g.pair for g in gens])
+    of the table (X, XS, alpha) and one column per direction S, each column
+    in one array pass."""
+    X, XS, alpha = table
     return np.column_stack([np.sum(alpha * pair_images(S, X, XS), axis=1) for S in directions])
 
 
 def apply(gen: SubdiffGenerator, S: OperatorTuple):
     """Evaluate the generator functional: sum_i alpha_i x*(S_i x).
 
-    The one-entry case of `evaluate`: a float for real data, a complex for
+    The one-row case of `evaluate`: a float for real data, a complex for
     complex data.
     """
-    return evaluate([gen], [S])[0, 0].item()
+    row = [np.asarray(v)[None] for v in (gen.pair.x, gen.pair.x_star, gen.alpha)]
+    return evaluate(row, [S])[0, 0].item()
 
 
 def gateaux_one_sided(
@@ -95,9 +97,9 @@ def gateaux_one_sided(
     for the left one (missed orbits can only widen the range).  The
     c-values are Re f(S) for the generator f of each attaining orbit.
     """
-    gens = generators(T, space, rr)
+    table = _table(T, rr)
     T._check_compatible(S)
-    cs = tuple(evaluate(gens, [S])[:, 0].real.tolist())
+    cs = tuple(evaluate(table, [S])[:, 0].real.tolist())
     return GateauxReport(g_plus=max(cs), g_minus=min(cs), c_values=cs, exhaustive=rr.exhaustive)
 
 

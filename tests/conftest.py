@@ -64,6 +64,18 @@ def random_polygon_space(rng: np.random.Generator, vertices: int = 4) -> SpaceDe
         )
 
 
+def near_duplicate_polygon(eps: float = 1e-7):
+    """(primal, dual) extremes of the hexagon +-(1, 1 - eps), +-(1 - eps, 1), +-(-1, 1).
+
+    The first two vertices lie sqrt(2) eps apart; the dual extremes are the
+    facet functionals u with <u, v_i> = <u, v_{i+1}> = 1.
+    """
+    V = [(1.0, 1.0 - eps), (1.0 - eps, 1.0), (-1.0, 1.0)]
+    V = sorted(V + [(-a, -b) for a, b in V], key=lambda v: np.arctan2(v[1], v[0]))
+    U = [np.linalg.solve(np.array([V[i], V[(i + 1) % 6]]), np.ones(2)) for i in range(6)]
+    return tuple(V), tuple(tuple(u) for u in U)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -9,6 +9,7 @@ import pytest
 import jointradius.oracle
 from jointradius import cli
 from jointradius.cli import main
+from conftest import near_duplicate_polygon
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(ROOT, "problems")
@@ -359,6 +360,24 @@ class TestErrorPaths:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_near_duplicate_polyhedral_extremes(self, capsys, tmp_path):
+        prim, dual = near_duplicate_polygon()
+        norm = {"kind": "polyhedral", "primal_extremes": prim, "dual_extremes": dual}
+        space = {"field": "real", "dim": 2, "norm": norm}
+        path = write_problem(tmp_path, {"space": space, "tuple": {"matrices": [[[1, 0], [0, 1]]]}})
+        code, out, err = run(capsys, "radius", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: two primal extremes") and err.count("\n") == 1
+
+    def test_extremes_over_the_entry_budget(self, capsys, tmp_path):
+        space = {"field": "real", "dim": 19, "norm": {"kind": "lp", "r": "inf"}}
+        path = write_problem(tmp_path, {"space": space, "tuple": {"matrices": [[[0] * 19] * 19]}})
+        code, out, err = run(capsys, "extremes", path)
+        assert code == 1
+        assert out == ""
+        assert "budget" in err and err.startswith("error:") and err.count("\n") == 1
 
     def test_non_finite_output_is_one_error_line(self, capsys, monkeypatch):
         monkeypatch.setitem(cli.COMMANDS, "radius", lambda problem, args: {"value": math.inf})

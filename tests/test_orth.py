@@ -217,3 +217,30 @@ class TestVerifyCertificate:
         assert verify_certificate(cert, T, S, sp, rr) == pytest.approx(
             cert.residual, abs=1e-12
         )
+
+
+class TestGeneratorTable:
+    def test_builds_no_generator_objects(self, monkeypatch):
+        # 32 attaining orbits; the rows come from the generator table alone
+        perm = np.eye(4)[[2, 0, 3, 1]] * np.array([1.0, -1.0, -1.0, 1.0])
+        T = OperatorTuple((perm, np.diag([1.0, -1.0, 1.0, 1.0])), p=3.0)
+        S = OperatorTuple((np.eye(4), np.eye(4)), p=3.0)
+        V = TupleSubspace((S, OperatorTuple((perm.T, np.eye(4)), p=3.0)))
+        sp = linf(4)
+        rr = radius_exact(T, sp)
+        assert len(rr.attaining.orbits) == 32
+        scalar, subspace = orth_scalar(T, S, sp, rr), orth_subspace(T, V, sp, rr)
+        assert scalar.orthogonal and subspace.orthogonal
+        checks = (
+            verify_certificate(scalar.certificate, T, S, sp, rr),
+            verify_certificate(subspace.certificate, T, V, sp, rr),
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SubdiffGenerator was built")
+
+        monkeypatch.setattr("jointradius.subdiff.SubdiffGenerator", refuse)
+        assert orth_scalar(T, S, sp, rr) == scalar
+        assert orth_subspace(T, V, sp, rr) == subspace
+        assert verify_certificate(scalar.certificate, T, S, sp, rr) == checks[0]
+        assert verify_certificate(subspace.certificate, T, V, sp, rr) == checks[1]

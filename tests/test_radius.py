@@ -79,6 +79,13 @@ class TestRadiusExact:
         with pytest.raises(Unsupported):
             radius_exact(single(np.eye(2)), lr(2, 3.0))
 
+    @pytest.mark.parametrize("d, n", [(1, 19), (820, 10)])
+    def test_entry_budget_refused_before_allocation(self, d, n):
+        # dim 19 has 2n 2^n > 2^24 admissible pairs; at dim 10 the 20 x 1024
+        # pair table fits, but d = 820 stacks of it would not
+        with pytest.raises(Unsupported, match="budget"):
+            radius(OperatorTuple(np.zeros((d, n, n))), linf(n))
+
     def test_dominates_sampling(self, rng):
         sp = random_polygon_space(rng)
         for _ in range(5):

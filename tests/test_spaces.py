@@ -26,7 +26,7 @@ from jointradius import (
     space_to_json,
 )
 from jointradius.spaces import AdmissiblePairs, lp_norm, lp_norm_rows
-from conftest import hilbert, l1, linf, lr, random_polygon_space
+from conftest import hilbert, l1, linf, lr, near_duplicate_polygon, random_polygon_space
 
 
 class TestNormEval:
@@ -167,9 +167,11 @@ class TestExtremePoints:
         with pytest.raises(Unsupported):
             extreme_points(SpaceDescriptor(field=COMPLEX, dim=2, norm=LpNorm(1.0)))
 
-    def test_enumeration_cap(self):
-        with pytest.raises(Unsupported):
-            extreme_points(linf(21))
+    @pytest.mark.parametrize("n", [19, 21, 64, 10**9])
+    def test_entry_budget(self, n):
+        # checked before the sign vectors exist: 2n 2^n admissible pairs at dim n
+        with pytest.raises(Unsupported, match="budget"):
+            extreme_points(linf(n))
 
     def test_one_point_per_row(self, rng):
         for sp in (linf(3), l1(3), random_polygon_space(rng)):
@@ -334,6 +336,16 @@ class TestPolyhedralDescriptor:
     def test_ragged_extremes_rejected(self):
         with pytest.raises(InvalidDescriptor):
             SpaceDescriptor(field=REAL, dim=1, norm=Polyhedral(((1.0,), (-1.0, 0.0)), ((1.0,), (-1.0,))))
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_near_duplicate_extremes_rejected(self, side):
+        # 12 admissible pairs in 6 +- couples, that orbit_dedup would merge into 5 orbits
+        prim, dual = near_duplicate_polygon()
+        if side == "dual":  # the polar hexagon: its dual extremes lie 1.4e-7 apart
+            prim, dual = dual, prim
+        with pytest.raises(InvalidDescriptor, match=f"two {side} extremes lie within"):
+            SpaceDescriptor(field=REAL, dim=2, norm=Polyhedral(prim, dual))
+        SpaceDescriptor(field=REAL, dim=2, norm=Polyhedral(*near_duplicate_polygon(1e-3)))
 
     def test_negation_closure_required(self):
         with pytest.raises(InvalidDescriptor):

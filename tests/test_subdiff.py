@@ -21,8 +21,7 @@ from jointradius import (
     smoothness,
 )
 from jointradius.oracle import MINUS, PLUS
-from jointradius.orth import _rows
-from jointradius.subdiff import evaluate
+from jointradius.subdiff import SubdiffGenerator, _table, evaluate
 from conftest import hilbert, l1, linf, lr, random_polygon_space, single
 
 
@@ -131,8 +130,8 @@ class TestStackedRowsAgainstPerOrbit:
         _assert_close(c, [_orbit_value(a, pr, S).real for a, pr in zip(want_alpha, reps)])
         V = TupleSubspace(tuple(dirs))
         want_rows = [[_orbit_value(a, pr, D) for D in dirs] for a, pr in zip(want_alpha, reps)]
-        _assert_close(_rows(T, V, sp, rr), want_rows)
-        _assert_close(evaluate(gens, dirs), want_rows)
+        _assert_close(evaluate(_table(T, rr), V.basis), want_rows)
+        _assert_close(evaluate(_table(T, rr), dirs), want_rows)
         assert apply(gens[-1], S) == pytest.approx(want_rows[-1][0], rel=1e-14)
 
     @pytest.mark.parametrize("c", [1.0, 1e150, 1e-150])
@@ -147,6 +146,42 @@ class TestStackedRowsAgainstPerOrbit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             generators(T, sp, radius_exact(T, sp))
+
+
+class TestGeneratorTable:
+    def test_gateaux_builds_no_generator_objects(self, monkeypatch):
+        T, sp, rr, dirs = _orbit_problems()[0]
+        want = gateaux_one_sided(T, dirs[0], sp, rr)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SubdiffGenerator was built")
+
+        monkeypatch.setattr("jointradius.subdiff.SubdiffGenerator", refuse)
+        assert gateaux_one_sided(T, dirs[0], sp, rr) == want
+        with pytest.raises(AssertionError, match="SubdiffGenerator"):
+            generators(T, sp, rr)
+
+    def test_generators_and_smooth_verdict_return_objects(self):
+        T, sp, rr, _ = _orbit_problems()[0]
+        gens = generators(T, sp, rr)
+        assert len(gens) == len(rr.attaining.orbits) > 1
+        assert all(isinstance(g, SubdiffGenerator) for g in gens)
+        T, sp, rr, _ = _orbit_problems()[2]
+        report = smoothness(T, sp, rr)
+        assert report.smooth
+        assert isinstance(report.generator, SubdiffGenerator)
+
+    @pytest.mark.parametrize("case", [0, 3, 5], ids=["linf", "polygon", "complex-l3"])
+    def test_apply_is_the_one_row_evaluate(self, case):
+        # bit for bit against the generator's own row of the table; the
+        # stacked table's matmul may round a many-column product differently
+        T, sp, rr, dirs = _orbit_problems()[case]
+        table = _table(T, rr)
+        stacked = evaluate(table, dirs)
+        for k, g in enumerate(generators(T, sp, rr)):
+            row = evaluate([a[k : k + 1] for a in table], dirs)[0]
+            assert [apply(g, S) for S in dirs] == row.tolist()
+            _assert_close(row, stacked[k])
 
 
 class TestApply:
