@@ -4,8 +4,8 @@ Reads a problem file (space + tuple, plus optional direction/against/
 subspace sections), dispatches to the solvers, and writes machine-readable
 JSON to standard output.  Diagnostics go to standard error.  Exit codes:
 0 success, 1 usage, I/O or schema errors or numbers out of range in the
-input (OverflowError, e.g. "dim": 1e999), 2 mathematical errors (zero
-radius, dependent direction).
+input (OverflowError, e.g. an integer literal past the float range),
+2 mathematical errors (zero radius, dependent direction).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import (
     DependentDirection,
     EmptyBasis,
     InvalidCertificate,
+    InvalidDescriptor,
     JointRadiusError,
     ZeroRadius,
 )
@@ -48,8 +49,8 @@ def _load_json(path: str) -> dict:
 
 def parse(path: str, p_override: float | None = None) -> ProblemFile:
     raw = _load_json(path)
-    if "space" not in raw or "tuple" not in raw:
-        raise JointRadiusError("problem file must contain 'space' and 'tuple' sections")
+    if not (isinstance(raw, dict) and all(isinstance(raw.get(k), dict) for k in ("space", "tuple"))):
+        raise InvalidDescriptor("problem file must be an object with 'space' and 'tuple' objects")
     space = space_from_json(raw["space"])
     tup_obj = dict(raw["tuple"])
     if p_override is not None:
@@ -171,7 +172,9 @@ def _cmd_orth(problem, args):
     rr = _radius(problem, args)
     if args.subspace is not None or "subspace" in problem.raw:
         obj = _section(problem, "subspace", args.subspace)
-        items = obj["basis"] if isinstance(obj, dict) else obj
+        items = obj.get("basis") if isinstance(obj, dict) else obj
+        if not isinstance(items, list):
+            raise InvalidDescriptor("'subspace' must be a list of tuples or an object with a 'basis' list")
         basis = tuple(tuple_from_json(it, problem.space.field, problem.tuple.p) for it in items)
         res = orth_subspace(problem.tuple, TupleSubspace(basis), problem.space, rr)
     else:

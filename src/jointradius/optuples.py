@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDescriptor
-from .spaces import COMPLEX, REAL, NormingPair, SpaceDescriptor, _signed_power, lp_norm, lp_norm_rows
+from .spaces import (
+    COMPLEX, REAL, NormingPair, SpaceDescriptor, _json_float, _json_int, _signed_power, lp_norm, lp_norm_rows
+)
 
 ATTAINING_TOL = 1e-6  # relative gap at which coefficient_rows warns
 
@@ -168,18 +170,20 @@ def _entry_from_json(v, field: str):
             raise InvalidDescriptor("complex entry [re, im] in a real-field tuple")
         if len(v) != 2:
             raise InvalidDescriptor("complex entries must be [re, im] pairs")
-        return complex(float(v[0]), float(v[1]))
-    return float(v)
+        return complex(_json_float(v[0], "matrix entry"), _json_float(v[1], "matrix entry"))
+    return _json_float(v, "matrix entry")
 
 
 def tuple_from_json(obj: dict, field: str, default_p: float = 2.0) -> OperatorTuple:
+    """The tuple of a `tuple` object; InvalidDescriptor on any malformed field."""
+    if not isinstance(obj, dict) or "matrices" not in obj:
+        raise InvalidDescriptor("tuple object must contain 'matrices'")
+    p = _json_float(obj.get("p", default_p), "p")
     try:
-        mats_obj = obj["matrices"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidDescriptor("tuple object must contain 'matrices'") from exc
-    p = float(obj.get("p", default_p))
-    mats = [np.array([[_entry_from_json(v, field) for v in row] for row in M]) for M in mats_obj]
+        mats = [[[_entry_from_json(v, field) for v in row] for row in M] for M in obj["matrices"]]
+    except TypeError as exc:  # a matrix or a row that is not a list
+        raise InvalidDescriptor(f"malformed tuple object: {exc}") from exc
     T = OperatorTuple(mats, p=p, field=field)
-    if "d" in obj and int(obj["d"]) != T.d:
+    if "d" in obj and _json_int(obj["d"], "d") != T.d:
         raise InvalidDescriptor(f"declared d={obj['d']} but {T.d} matrices were given")
     return T

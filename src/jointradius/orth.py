@@ -64,26 +64,28 @@ def _check_subspace_independent(T: OperatorTuple, V: TupleSubspace) -> None:
         raise DependentDirection("T lies in the span of the subspace basis")
 
 
-def _decide(rows: np.ndarray, rr: RadiusResult, ref: float) -> OrthResult:
-    # rows are complex exactly on complex-field data; split them into [Re | Im]
-    points = np.hstack([rows.real, rows.imag]) if np.iscomplexobj(rows) else rows
+def _points(T: OperatorTuple, direction, rr: RadiusResult) -> np.ndarray:
+    """Row k is f_k on the directions (S's scaling family or V), split into [Re | Im] on complex data."""
+    V = direction if isinstance(direction, TupleSubspace) else _scaling_family(direction)
+    rows = evaluate(_table(T, rr), V.basis)  # complex exactly on complex-field data
+    return np.hstack([rows.real, rows.imag]) if np.iscomplexobj(rows) else rows
+
+
+def _certificate(points: np.ndarray, w: np.ndarray) -> OrthCertificate:
+    """The certificate of the weight vector w; its residual is max |points^T w|."""
+    weights = tuple((j, float(t)) for j, t in enumerate(w) if t > 0)
+    return OrthCertificate(weights=weights, residual=float(np.max(np.abs(points.T @ w))))
+
+
+def _decide(points: np.ndarray, rr: RadiusResult, ref: float) -> OrthResult:
     scale = float(np.max(np.abs(points)))
-    approximate = not rr.exhaustive
     if scale <= LP_TOL * ref:
-        # every constraint vanishes (up to the natural scale of the data):
-        # trivially orthogonal, weight 1 anywhere
-        cert = OrthCertificate(weights=((0, 1.0),), residual=scale)
-        return OrthResult(orthogonal=True, approximate=approximate, certificate=cert)
-    res = hull_membership(HullProblem(points=points / scale, target=np.zeros(points.shape[1])))
-    if not res.feasible:
-        return OrthResult(orthogonal=False, approximate=approximate, certificate=None)
-    residual = float(np.max(np.abs(points.T @ res.weights)))
-    weights = tuple((j, float(t)) for j, t in enumerate(res.weights) if t > 0)
-    return OrthResult(
-        orthogonal=True,
-        approximate=approximate,
-        certificate=OrthCertificate(weights=weights, residual=residual),
-    )
+        # every constraint vanishes at the data's natural scale: orthogonal, weight 1 on row 0
+        w = np.eye(1, len(points))[0]
+    else:
+        w = hull_membership(HullProblem(points=points / scale, target=np.zeros(points.shape[1]))).weights
+    cert = None if w is None else _certificate(points, w)
+    return OrthResult(orthogonal=cert is not None, approximate=not rr.exhaustive, certificate=cert)
 
 
 def orth_scalar(
@@ -100,7 +102,7 @@ def orth_subspace(
     T._check_compatible(V.basis[0])
     _check_subspace_independent(T, V)
     ref = max(S.max_entry() for S in V.basis)
-    return _decide(evaluate(_table(T, rr), V.basis), rr, ref)
+    return _decide(_points(T, V, rr), rr, ref)
 
 
 def verify_certificate(
@@ -110,21 +112,21 @@ def verify_certificate(
     space: SpaceDescriptor,
     rr: RadiusResult,
 ) -> float:
-    """Recompute the constraint sums from scratch; return the max violation.
+    """Rebuild the LP points and the weight vector of cert from scratch; return
+    the residual max |points^T w| of that vector, as the certificate reports it.
 
     direction is the OperatorTuple S of orth_scalar or the TupleSubspace of
-    orth_subspace.
+    orth_subspace.  Orbit indices must be integers in range (bools are not).
     """
     total = sum(t for _, t in cert.weights)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # a NaN weight fails here
         raise InvalidCertificate(f"certificate weights sum to {total}, expected 1")
     if any(t <= 0 for _, t in cert.weights):
         raise InvalidCertificate("certificate weights must be strictly positive")
-    V = direction if isinstance(direction, TupleSubspace) else _scaling_family(direction)
-    rows = evaluate(_table(T, rr), V.basis)
-    acc = 0.0
+    points = _points(T, direction, rr)
+    w = np.zeros(len(points))
     for j, t in cert.weights:
-        if not (0 <= j < len(rows)):
-            raise InvalidCertificate(f"stale orbit index {j}")
-        acc = acc + t * rows[j]
-    return float(np.max(np.abs(acc)))
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j < len(w):
+            raise InvalidCertificate(f"stale orbit index {j!r}")
+        w[j] += t
+    return _certificate(points, w).residual

@@ -13,6 +13,7 @@ u(z) = sum_i conj(u_i) z_i, so that on Hilbert space u = x reproduces
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
@@ -249,19 +250,35 @@ def extreme_points(space: SpaceDescriptor):
     # the (2^n, 2n) pair table, checked before any allocation; any n >= 64 is far over budget
     if (2 * n) << min(n, 64) > ENTRY_BUDGET:
         raise Unsupported(f"real l_1/l_inf of dim {n} has more extreme pairs than the entry budget")
-    signs = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
-    units = np.kron(np.eye(n), [[1.0], [-1.0]]) + 0.0  # kron leaves -0.0 in the -e_k rows
+    units, signs = _signed_units(n), _sign_vectors(n)
     return (units, signs) if space.norm.r == 1 else (signs, units)
 
 
+def _signed_units(n: int) -> np.ndarray:
+    """The 2n rows e_1, -e_1, e_2, -e_2, ... of `extreme_points` on real l_1/l_inf."""
+    if 2 * n * n > ENTRY_BUDGET:
+        raise Unsupported(f"real l_1/l_inf of dim {n} has more unit-vector entries than the entry budget")
+    return np.kron(np.eye(n), [[1.0], [-1.0]]) + 0.0  # kron leaves -0.0 in the -e_k rows
+
+
+def _sign_vectors(n: int) -> np.ndarray:
+    """The 2^n sign rows of `extreme_points` on real l_1/l_inf, in its order."""
+    if n << min(n, 64) > ENTRY_BUDGET:
+        raise Unsupported(f"real l_1/l_inf of dim {n} has more sign vectors than the entry budget")
+    return 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+
+
 def duality_map(space: SpaceDescriptor, x) -> list[NormingPair]:
-    """All extreme-point norming functionals of the unit vector x."""
+    """All extreme-point norming functionals of the unit vector x; only the dual extremes are built."""
     vec = space.as_vector(x)
     if abs(norm_eval(space, vec) - 1.0) > PAIR_TOL:
         raise InvalidDescriptor("duality_map requires a unit vector")
     if space.is_smooth_lp:
         return [NormingPair(vec, smooth_duality_vector(vec, space.norm.r))]
-    _, dual = extreme_points(space)
+    if isinstance(space.norm, Polyhedral) or space.field != REAL:
+        dual = extreme_points(space)[1]
+    else:
+        dual = _sign_vectors(space.dim) if space.norm.r == 1 else _signed_units(space.dim)
     active = dual[np.abs(dual @ vec - 1.0) <= ACTIVE_TOL]
     if len(active) == 0:
         raise InvalidDescriptor("no active dual extreme: inconsistent descriptor")
@@ -361,23 +378,38 @@ def space_to_json(space: SpaceDescriptor) -> dict:
     return {"field": space.field, "dim": space.dim, "norm": norm}
 
 
+def _json_float(v, what: str) -> float:
+    """The number v as a float; InvalidDescriptor on anything else, bools and null included."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise InvalidDescriptor(f"{what} must be a number, got {v!r}")
+    return float(v)
+
+
+def _json_int(v, what: str) -> int:
+    """The number v as an int; InvalidDescriptor unless it is integral (2.0 is, 2.5 and true are not)."""
+    if not _json_float(v, what).is_integer():
+        raise InvalidDescriptor(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
 def space_from_json(obj: dict) -> SpaceDescriptor:
+    """The space of a `space` object; InvalidDescriptor on any malformed field."""
     try:
-        fld = obj["field"]
-        dim = int(obj["dim"])
-        norm_obj = obj["norm"]
+        fld, dim, norm_obj = obj["field"], _json_int(obj["dim"], "dim"), obj["norm"]
         kind = norm_obj["kind"]
-    except (KeyError, TypeError) as exc:
+        if kind == "lp":
+            r = norm_obj["r"]
+            norm = LpNorm(math.inf if r in ("inf", "Infinity") else _json_float(r, "r"))
+        elif kind == "polyhedral":
+            primal, dual = (
+                tuple(tuple(_json_float(c, f"{key} entry") for c in v) for v in norm_obj[key])
+                for key in ("primal_extremes", "dual_extremes")
+            )
+            norm = Polyhedral(primal, dual)
+        else:
+            raise InvalidDescriptor(f"unknown norm kind {kind!r}")
+    except KeyError as exc:
         raise InvalidDescriptor(f"malformed space object: missing {exc}") from exc
-    if kind == "lp":
-        r = norm_obj["r"]
-        r = math.inf if r in ("inf", "Infinity") else float(r)
-        norm = LpNorm(r)
-    elif kind == "polyhedral":
-        norm = Polyhedral(
-            tuple(tuple(map(float, v)) for v in norm_obj["primal_extremes"]),
-            tuple(tuple(map(float, u)) for u in norm_obj["dual_extremes"]),
-        )
-    else:
-        raise InvalidDescriptor(f"unknown norm kind {kind!r}")
+    except TypeError as exc:  # a section or a vector of the wrong JSON type
+        raise InvalidDescriptor(f"malformed space object: {exc}") from exc
     return SpaceDescriptor(field=fld, dim=dim, norm=norm)

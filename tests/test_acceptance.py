@@ -71,6 +71,19 @@ def test_criterion_1_norm_axioms(capsys):
         wcT = radius(T.scaled(c), sp, **kw).value
         ok &= abs(wcT - abs(c) * wT) <= 1e-9 * max(1.0, wT)
         ok &= wTS <= wT + wS + 1e-9
+    # exact path at the ends of the range of p and at extreme scales of T:
+    # positivity, |lambda|-homogeneity and the triangle inequality, 1e-12 relative
+    for kind in ("l1", "linf", "polygon"):
+        sp = random_polygon_space(rng) if kind == "polygon" else {"l1": l1, "linf": linf}[kind](3)
+        for p in (1.01, 80.0):
+            for c in (1.0, 1e150, 1e-150):
+                for _ in range(10):
+                    T, S = (random_tuple(2, sp.dim, REAL, p, rng).scaled(c) for _ in range(2))
+                    lam = float(rng.normal())
+                    wT, wS = radius_exact(T, sp).value, radius_exact(S, sp).value
+                    ok &= wT > 0
+                    ok &= abs(radius_exact(T.scaled(lam), sp).value - abs(lam) * wT) <= 1e-12 * abs(lam) * wT
+                    ok &= radius_exact(T + S, sp).value <= (wT + wS) * (1 + 1e-12)
     # degenerate flag: nonzero skew-symmetric operators on real l2
     for n in (2, 3):
         A = rng.standard_normal((n, n))

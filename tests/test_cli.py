@@ -284,15 +284,61 @@ class TestLargeR:
             assert math.isfinite(data["value"]) and len(data["orbits"]) == 1
 
 
+def _malformed(space=None, norm=None, tuple_=None, **top):
+    """The linf2_exact problem with some fields replaced."""
+    tup = {"d": 1, "p": 2, "matrices": [[[1, 0], [0, 0]]], **(tuple_ or {})}
+    sp = {**LINF2, "norm": {**LINF2["norm"], **(norm or {})}, **(space or {})}
+    return {"space": sp, "tuple": tup, **top}
+
+
+SQUARE = {"kind": "polyhedral", "dual_extremes": [[1, 0], [-1, 0], [0, 1], [0, -1]]}
+MALFORMED = {
+    "r-null": _malformed(norm={"r": None}),
+    "p-null": _malformed(tuple_={"p": None}),
+    "matrices-null": _malformed(tuple_={"matrices": None}),
+    "entry-null": _malformed(tuple_={"matrices": [[[1, None], [0, 0]]]}),
+    "tuple-list": _malformed(tuple=[1]),
+    "primal-extremes-null": _malformed(space={"norm": {**SQUARE, "primal_extremes": None}}),
+    "top-level-string": "space tuple",
+    "dim-fraction": _malformed(space={"dim": 2.5}),
+    "dim-bool": _malformed(space={"dim": True}),
+    "d-fraction": _malformed(tuple_={"d": 1.5}),
+    "d-bool": _malformed(tuple_={"d": True}),
+}
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_field_is_one_error_line(self, capsys, tmp_path, name):
+        code, out, err = run(capsys, "radius", write_problem(tmp_path, MALFORMED[name]))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("subspace", [5, {"basis": 5}, {"tuples": []}])
+    def test_malformed_subspace_is_one_error_line(self, capsys, tmp_path, subspace):
+        path = write_problem(tmp_path, _malformed(subspace=subspace))
+        code, out, err = run(capsys, "orth", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_number_out_of_range_is_one_error_line(self, capsys, tmp_path):
-        # JSON 1e999 parses as inf, and int(inf) raises OverflowError
+        # JSON 1e999 parses as inf, which is not an integer
         path = tmp_path / "huge_dim.json"
         path.write_text(
             '{"space": {"field": "real", "dim": 1e999, "norm": {"kind": "lp", "r": "inf"}},'
             ' "tuple": {"d": 1, "p": 2, "matrices": [[[1, 0], [0, 1]]]}}'
         )
         code, out, err = run(capsys, "radius", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_integer_past_the_float_range_is_one_error_line(self, capsys, tmp_path):
+        # a JSON integer literal is exact; float() of it raises OverflowError
+        path = write_problem(tmp_path, _malformed(tuple_={"p": 10**400}))
+        code, out, err = run(capsys, "radius", path)
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1

@@ -223,3 +223,27 @@ class TestJson:
     def test_d_mismatch(self):
         with pytest.raises(InvalidDescriptor):
             tuple_from_json({"d": 2, "matrices": [[[1, 0], [0, 1]]]}, field=REAL)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            None,
+            [1],
+            {"matrices": None},
+            {"matrices": [[1]]},
+            {"matrices": [[[1, None], [0, 1]]]},
+            {"matrices": [[[1, True], [0, 1]]]},
+            {"matrices": [[[1, "0"], [0, 1]]]},
+            {"p": None, "matrices": [[[1, 0], [0, 1]]]},
+            {"p": True, "matrices": [[[1, 0], [0, 1]]]},
+            {"d": 1.5, "matrices": [[[1, 0], [0, 1]]]},
+            {"d": True, "matrices": [[[1, 0], [0, 1]]]},
+        ],
+    )
+    def test_malformed_field(self, obj):
+        with pytest.raises(InvalidDescriptor):
+            tuple_from_json(obj, field=REAL)
+
+    def test_complex_part_must_be_a_number(self):
+        with pytest.raises(InvalidDescriptor):
+            tuple_from_json({"matrices": [[[[1, None], 0], [0, 1]]]}, field=COMPLEX)

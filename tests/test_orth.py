@@ -196,6 +196,14 @@ class TestVerifyCertificate:
         with pytest.raises(InvalidCertificate):
             verify_certificate(scaled, T, S, sp, rr)
 
+    def test_nan_weight(self):
+        sp, T, S, rr, cert = self._setup()
+        from jointradius import OrthCertificate
+
+        bad = OrthCertificate(weights=((0, float("nan")),), residual=0.0)
+        with pytest.raises(InvalidCertificate):
+            verify_certificate(bad, T, S, sp, rr)
+
     def test_nonpositive_weight(self):
         sp, T, S, rr, cert = self._setup()
         from jointradius import OrthCertificate
@@ -212,11 +220,49 @@ class TestVerifyCertificate:
         with pytest.raises(InvalidCertificate):
             verify_certificate(bad, T, S, sp, rr)
 
+    @pytest.mark.parametrize("index", [0.5, True, np.True_], ids=["float", "bool", "numpy-bool"])
+    def test_non_integer_index(self, index):
+        sp, T, S, rr, cert = self._setup()
+        from jointradius import OrthCertificate
+
+        bad = OrthCertificate(weights=((index, 1.0),), residual=0.0)
+        with pytest.raises(InvalidCertificate):
+            verify_certificate(bad, T, S, sp, rr)
+
+    def test_numpy_integer_index(self):
+        sp, T, S, rr, cert = self._setup()
+        from jointradius import OrthCertificate
+
+        as_numpy = OrthCertificate(
+            weights=tuple((np.int64(j), t) for j, t in cert.weights), residual=cert.residual
+        )
+        assert verify_certificate(as_numpy, T, S, sp, rr) == cert.residual
+
     def test_residual_recomputed(self):
         sp, T, S, rr, cert = self._setup()
-        assert verify_certificate(cert, T, S, sp, rr) == pytest.approx(
-            cert.residual, abs=1e-12
-        )
+        assert verify_certificate(cert, T, S, sp, rr) == cert.residual
+
+    def test_residual_recomputed_complex(self):
+        # 16 orbits; the residual is the max over the [Re | Im] coordinates
+        sp = hilbert(2)
+        T = single(np.eye(2), field=COMPLEX)
+        S = single(np.array([[0.0, 1.0], [0.0, 0.0]]), field=COMPLEX)
+        rr = radius_smooth(T, sp, starts=16, seed=0)
+        cert = orth_scalar(T, S, sp, rr).certificate
+        assert cert.residual > 0
+        assert verify_certificate(cert, T, S, sp, rr) == cert.residual
+
+    def test_vanishing_rows_residual_is_row_zero(self):
+        # rows +-1e-12 and +-3e-12 vanish at the data's scale: weight 1 on row 0,
+        # residual |row 0|, not the largest row
+        sp = linf(2)
+        T = single(np.diag([1.0, 0.0]))
+        S = single(np.array([[1e-12, -2e-12], [0.0, 1.0]]))
+        rr = radius_exact(T, sp)
+        res = orth_scalar(T, S, sp, rr)
+        assert res.certificate.weights == ((0, 1.0),)
+        assert res.certificate.residual == pytest.approx(1e-12, rel=1e-9, abs=0)
+        assert verify_certificate(res.certificate, T, S, sp, rr) == res.certificate.residual
 
 
 class TestGeneratorTable:

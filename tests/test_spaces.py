@@ -147,6 +147,34 @@ class TestDualityMap:
         with pytest.raises(InvalidDescriptor):
             duality_map(lr(2, 2.0), [1.0, 1.0])
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("make", [l1, linf], ids=["l1", "linf"])
+    def test_matches_the_full_dual_extreme_set(self, rng, make, n):
+        sp = make(n)
+        x = rng.uniform(-1, 1, n)
+        if make is linf:  # some coordinates at +-1: those units are active
+            idx = rng.permutation(n)[: rng.integers(1, n + 1)]
+            x[idx] = rng.choice([-1.0, 1.0], len(idx))
+        else:  # some zero coordinates: each doubles the active sign vectors
+            x[rng.random(n) < 0.3] = 0.0
+            x = x / np.abs(x).sum() if x.any() else np.eye(n)[0]
+        dual = extreme_points(sp)[1]
+        active = dual[np.abs(dual @ x - 1.0) <= 1e-10]
+        stars = np.array([pr.x_star for pr in duality_map(sp, x)])
+        assert stars.tobytes() == active.tobytes()
+
+    def test_linf_beyond_the_pair_budget(self):
+        # l_inf(24) has 24 * 2^25 extreme pairs; the duality map needs only its 48 units
+        sp = linf(24)
+        with pytest.raises(Unsupported):
+            extreme_points(sp)
+        x = np.full(24, 0.5)
+        x[[3, 17]] = [1.0, -1.0]
+        stars = [tuple(pr.x_star) for pr in duality_map(sp, x)]
+        assert stars == [tuple(np.eye(24)[3]), tuple(-np.eye(24)[17])]
+        for pr in sample_pairs(sp, 5, seed=0):
+            pr.validate(sp)
+
 
 class TestExtremePoints:
     def test_linf2(self):
@@ -370,3 +398,30 @@ class TestJsonRoundtrip:
     def test_bad_kind(self):
         with pytest.raises(InvalidDescriptor):
             space_from_json({"field": "real", "dim": 2, "norm": {"kind": "nope"}})
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"dim": 2.5},
+            {"dim": True},
+            {"dim": "2"},
+            {"norm": None},
+            {"norm": {"kind": "lp", "r": None}},
+            {"norm": {"kind": "lp", "r": True}},
+            {"norm": {"kind": "lp", "r": "2"}},
+            {"norm": {"kind": "polyhedral", "primal_extremes": None, "dual_extremes": [[1.0]]}},
+            {"norm": {"kind": "polyhedral", "primal_extremes": [[1.0], None], "dual_extremes": [[1.0]]}},
+            {"norm": {"kind": "polyhedral", "primal_extremes": [[True], [-1.0]], "dual_extremes": [[1.0]]}},
+        ],
+    )
+    def test_malformed_field(self, edit):
+        with pytest.raises(InvalidDescriptor):
+            space_from_json({"field": "real", "dim": 2, "norm": {"kind": "lp", "r": 2}, **edit})
+
+    @pytest.mark.parametrize("obj", [None, "space", [1]])
+    def test_not_an_object(self, obj):
+        with pytest.raises(InvalidDescriptor):
+            space_from_json(obj)
+
+    def test_integral_float_dim(self):
+        assert space_from_json({"field": "real", "dim": 2.0, "norm": {"kind": "lp", "r": 2}}).dim == 2
