@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Unsupported
+from .errors import DimensionMismatch, Unsupported
 from .optuples import OperatorTuple, tuple_combine
 from .radius import DEFAULT_STARTS, RadiusResult, radius
 from .spaces import COMPLEX, REAL, LpNorm, Polyhedral, SpaceDescriptor
@@ -110,6 +110,8 @@ def sampled_radius(
     """Max of the radius objective over seeded random norming pairs."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if T.n != space.dim:  # checked here, not through the solver, to keep the oracle independent
+        raise DimensionMismatch(f"space dimension {space.dim} does not match operator dimension {T.n}")
     rng = np.random.default_rng(seed)
     best = 0.0
     chunk = 50_000

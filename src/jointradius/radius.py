@@ -4,21 +4,22 @@ On spaces with finite extreme-point lists the supremum over norming pairs
 is attained on the admissible extreme pairs, so enumeration is exact.  One
 array pass scores every pair; only the pairs that can attain become
 NormingPair objects, and `aggregate` re-scores them, so the reported value
-and orbits are its floats.  On
-smooth l_r spaces the functional is the unique duality image of x, making
-the objective a function of x alone; it is maximized by seeded projected
-gradient ascent on the unit sphere with backtracking line search.  Each
-point the ascent visits is evaluated once: the gradient at an accepted
-candidate reuses that candidate's evaluation.  A start ends at a zero
-gradient, after three consecutive accepted steps that each gain at most
-1e-15 relative (rounding, or a null step that leaves x unchanged), when its
-line search fails after two restarts, or after MAX_ITER iterations.
+and orbits are its floats.  On smooth l_r spaces the functional is the
+unique duality image of x, making the objective a function of x alone; it
+is maximized by seeded projected gradient ascent on the unit sphere with
+backtracking line search.  Each point the ascent visits is evaluated once:
+the gradient at an accepted candidate reuses that candidate's evaluation.
+A start ends at a zero gradient, after three consecutive accepted steps
+that each gain at most 1e-15 relative (rounding, or a null step that leaves
+x unchanged), when its line search fails after two restarts, or after
+MAX_ITER iterations.
 
 The starts run in lockstep as the rows of one array, each with its own
 step, counters and random stream, and each stops by its own rule.  The
 backtracking is speculative: one pass evaluates a row at s, s/2, s/4 and
-s/8 and takes the first that passes, the point a halving loop accepts.
-Each start therefore reaches the floats it would reach alone.
+s/8 and takes the first that passes, the point a halving loop accepts, so
+each start reaches the floats it would reach alone.  In a round where every
+row takes its s, the first block of candidates is the new state, ungathered.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Unsupported, ZeroRadius
+from .errors import DimensionMismatch, Unsupported, ZeroRadius
 from .optuples import OperatorTuple, aggregate
 from .spaces import (
     COMPLEX,
@@ -38,7 +39,9 @@ from .spaces import (
     ORBIT_TOL,
     NormingPair,
     SpaceDescriptor,
+    _conj,
     _gaussian,
+    _off_tiny,
     _signed_power,
     admissible_pairs,
     lp_norm_rows,
@@ -190,6 +193,12 @@ def _check_attain_tol(rel_tol: float) -> None:
         raise ValueError(f"attaining tolerance must satisfy 0 <= tol < 1, got {rel_tol}")
 
 
+def _check_dims(T: OperatorTuple, space: SpaceDescriptor) -> None:
+    """Reject a tuple whose operators do not act on the space; both methods and `cli.parse` call this."""
+    if T.n != space.dim:
+        raise DimensionMismatch(f"space dimension {space.dim} does not match operator dimension {T.n}")
+
+
 def _check_multistart(starts: int, seed: int) -> None:
     """Reject a start count below 1, a negative seed, and either one not an integer (bools included)."""
     for name, v in (("starts", starts), ("seed", seed)):
@@ -218,6 +227,7 @@ def radius_exact(
     attain_tol: float = ATTAIN_TOL_EXACT,
 ) -> RadiusResult:
     """Exact radius by enumeration of admissible extreme pairs."""
+    _check_dims(T, space)
     _check_attain_tol(attain_tol)
     pairs = admissible_pairs(space)
     P, D = pairs.primal, pairs.dual
@@ -261,7 +271,6 @@ class _Evaluation(NamedTuple):
     value: np.ndarray  # (k,)
     x: np.ndarray  # (k, n)
     a: np.ndarray  # |x_k|
-    nz: np.ndarray  # |x_k| > 1e-300
     pw2: np.ndarray  # |x_k|^(r-2), zero convention
     s: np.ndarray  # functional coefficients conj(x_k)|x_k|^(r-2)
     Y: np.ndarray  # (k, d, n); Y[j, i] is T_i x of row j
@@ -282,19 +291,17 @@ class _Evaluation(NamedTuple):
 
 def _real_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Re np.vdot(u, v) for each pair of rows."""
-    return (np.conj(U)[:, None, :] @ V[:, :, None])[:, 0, 0].real
+    return (_conj(U)[:, None, :] @ V[:, :, None])[:, 0, 0].real
 
 
 def _objective(T: OperatorTuple, r: float, X: np.ndarray) -> _Evaluation:
     """Evaluate ||(x*(T_i x))_i||_p, x* the duality image of the unit vector x, for each row x of X."""
     a = np.abs(X)
-    nz = a > 1e-300
-    pw2 = np.zeros_like(X)
-    pw2[nz] = a[nz] ** (r - 2.0)
-    s = np.conj(X) * pw2  # the floats of _signed_power(x, r - 2)
+    pw2 = _off_tiny(a, lambda a: a ** (r - 2.0), a)
+    s = _conj(X) * pw2  # the floats of _signed_power(x, r - 2)
     Y = np.matmul(T.matrices, X[:, None, :, None])[..., 0]
     z = (Y @ s[:, :, None])[..., 0]
-    return _Evaluation(lp_norm_rows(z, T.p), X, a, nz, pw2, s, Y, z)
+    return _Evaluation(lp_norm_rows(z, T.p), X, a, pw2, s, Y, z)
 
 
 def _gradient(T: OperatorTuple, r: float, ev: _Evaluation) -> np.ndarray:
@@ -303,10 +310,9 @@ def _gradient(T: OperatorTuple, r: float, ev: _Evaluation) -> np.ndarray:
     Complex coordinates are treated as pairs of real ones; each row is the
     steepest-ascent direction under the real inner product Re<., .>.
     """
-    x, a, nz, pw2, s, Y = ev.x, ev.a, ev.nz, ev.pw2, ev.s, ev.Y
-    # conj(x_k)^2 |x_k|^(r-4), written so that no factor over- or underflows
-    c2 = np.zeros_like(x)
-    c2[nz] = (np.conj(x[nz]) / a[nz]) ** 2 * pw2[nz]
+    x, a, pw2, s, Y = ev.x, ev.a, ev.pw2, ev.s, ev.Y
+    # conj(x_k)^2 |x_k|^(r-4), written so that no factor over- or underflows; pw2 on real x: (x_k/|x_k|)^2 = 1
+    c2 = pw2 if x.dtype.kind != "c" else _off_tiny(a, lambda x, a, w: (np.conj(x) / a) ** 2 * w, x, a, pw2)
 
     # a zero objective has z = 0, so zp = 0 and the gradient is 0
     val = np.where(ev.value == 0.0, 1.0, ev.value)[:, None]
@@ -314,10 +320,10 @@ def _gradient(T: OperatorTuple, r: float, ev: _Evaluation) -> np.ndarray:
     A = ((r / 2.0) * pw2)[:, None, :] * Y
     sT = (s[:, None, None, :] @ T.matrices)[:, :, 0, :]  # row i is T_i^T s
     B = (((r - 2.0) / 2.0) * c2)[:, None, :] * Y + sT
-    G = (zp @ A)[:, 0, :] + np.conj((zp @ B)[:, 0, :])
+    G = (zp @ A)[:, 0, :] + _conj((zp @ B)[:, 0, :])
 
     # project onto the tangent of the l_r sphere at x; |nu| > 0 on a unit vector
-    nu = np.conj(s)  # gradient direction of the norm, x_k|x_k|^(r-2)
+    nu = _conj(s)  # gradient direction of the norm, x_k|x_k|^(r-2)
     G -= (_real_dots(nu, G) / _real_dots(nu, nu))[:, None] * nu
     return G
 
@@ -327,7 +333,7 @@ def _normalize(Y: np.ndarray, r: float) -> np.ndarray:
     return X / lp_norm_rows(X, r)[:, None]
 
 
-_HALVINGS = 0.5 ** np.arange(4.0)  # the steps s, s/2, s/4, s/8 one backtracking pass tries
+_HALVINGS = 0.5 ** np.arange(4.0)[:, None]  # the steps s, s/2, s/4, s/8 one backtracking pass tries
 
 
 def _ascend_all(T: OperatorTuple, space: SpaceDescriptor, X0: np.ndarray, rngs):
@@ -338,63 +344,67 @@ def _ascend_all(T: OperatorTuple, space: SpaceDescriptor, X0: np.ndarray, rngs):
     stop rule, so it reaches the floats it would reach alone:
     - Each round takes one iteration of every live row: one gradient, a
       backtracking search, and a restart where the search fails.
-    - A backtracking pass evaluates each pending row at s, s/2, s/4 and s/8
-      at once and takes its first candidate that passes the Armijo test.
-      That is the point a halving loop accepts, as halving is exact.
-    - iters[j] counts the gradients of row j, one per iteration.
+    - A backtracking pass evaluates its m pending rows at s, s/2, s/4 and
+      s/8 at once (candidate h m + q is row q at s/2^h), and each row takes
+      its first that passes the Armijo test: the point a halving loop
+      accepts.  If every live row takes s, candidates 0..m-1 are its rows.
+    - iters[j] counts the gradients of row j, one per round it is live.
     """
     r = space.norm.r
     ev = _objective(T, r, _normalize(X0, r))
     k = len(X0)
-    values, X, iters = np.empty(k), np.empty_like(ev.x), np.zeros(k, dtype=int)
+    values, X, iters = np.empty(k), np.empty(ev.x.shape, ev.x.dtype), np.zeros(k, dtype=int)
     # the rows of ev, step, stalls and restarts belong to the live starts
     # ids; a start leaves them in the round it stops
-    ids = np.arange(k)
-    step = np.ones(k)
+    ids, step, rounds = np.arange(k), np.ones(k), 0
     stalls, restarts = np.zeros((2, k), dtype=int)
     while ids.size:
-        fval = ev.value.copy()  # the search below replaces the rows of ev it accepts
+        rounds += 1
         G = _gradient(T, r, ev)
         gn2 = _real_dots(G, G)
-        iters[ids] += 1
         stop = gn2 == 0.0
-        todo = np.flatnonzero(~stop)  # rows still searching
-        s = np.minimum(4.0 * step[todo], 1.0 / (1.0 + np.sqrt(gn2[todo])))
         failed = np.zeros(ids.size, dtype=bool)
+        whole = not stop.any()  # every live row searches, so none is gathered
+        todo = np.arange(ids.size) if whole else (~stop).nonzero()[0]  # rows still searching
+        f, g2, s = (ev.value, gn2, step) if whole else (ev.value[todo], gn2[todo], step[todo])
+        s = np.minimum(4.0 * s, 1.0 / (1.0 + np.sqrt(g2)))
         while todo.size:
-            steps = s[:, None] * _HALVINGS
-            row, col = np.nonzero(steps >= MIN_STEP)
-            i, cs = todo[row], steps[row, col]
-            cand = _objective(T, r, _normalize(ev.x[i] + cs[:, None] * G[i], r))
+            m = todo.size
+            steps = _HALVINGS * s
+            x, g = (ev.x, G) if whole else (ev.x[todo], G[todo])
+            cand = _objective(T, r, _normalize((x + steps[:, :, None] * g).reshape(4 * m, -1), r))
             # c = 0.3 keeps the accepted step below 1.4/curvature, so the
             # local contraction factor stays bounded away from 1
-            c = np.flatnonzero(cand.value >= fval[i] + 0.3 * cs * gn2[i])
-            rc, first = row[c], np.ones(c.size, dtype=bool)
-            first[1:] = rc[1:] != rc[:-1]
-            c = c[first]  # the first passing candidate of each row
-            j, f = i[c], fval[i[c]]
-            # a gain below 1e-15 f is rounding; a null step (cand == x) gains 0
-            stalls[j] = np.where(cand.value[c] - f <= 1e-15 * np.abs(f), stalls[j] + 1, 0)
-            step[j] = cs[c]
-            ev.put(j, cand.take(c))
-            hit = np.zeros(todo.size, dtype=bool)
-            hit[row[c]] = True
+            ok = cand.value.reshape(4, m) >= f + 0.3 * steps * g2
+            ok &= steps >= MIN_STEP
+            # a gain below 1e-15 f (f >= 0) is rounding; a null step (cand == x) gains 0
+            if whole and ok[0].all():
+                stalls = np.where(cand.value[:m] - f <= 1e-15 * f, stalls + 1, 0)
+                step, ev = s, cand.take(slice(m))
+                break
+            whole, hit = False, ok.any(axis=0)
+            q = hit.nonzero()[0]
+            j, c = todo[q], ok[:, q].argmax(axis=0) * m + q  # each hit row's first passing candidate
+            stalls[j] = np.where(cand.value[c] - f[q] <= 1e-15 * f[q], stalls[j] + 1, 0)
+            step[j] = steps.ravel()[c]
+            ev.put(j, cand.take(c))  # f may be ev.value, but its rows j are not read again
             more = ~hit & (s * 0.0625 >= MIN_STEP)
             failed[todo[~hit & ~more]] = True
-            todo, s = todo[more], s[more] * 0.0625
+            todo, f, g2, s = todo[more], f[more], g2[more], s[more] * 0.0625
         # a failed search may be a stall at a kink (some z_i = 0 with p < 2):
         # restart the row from a small perturbation, at most twice
-        stop |= failed & (restarts == 2)
-        again = np.flatnonzero(failed & (restarts < 2))
-        if again.size:
-            Y = np.array([ev.x[j] + 1e-3 * _gaussian(space, rngs[ids[j]]) for j in again])
-            ev.put(again, _objective(T, r, _normalize(Y, r)))
-            restarts[again] += 1
-            stalls[again] = 0
-            step[again] = 1.0
-        stop |= (stalls == 3) | (iters[ids] == MAX_ITER)
+        if not whole:  # when whole, every row took its s and no search failed
+            again = (failed & (restarts < 2)).nonzero()[0]
+            stop |= failed & (restarts == 2)
+            if again.size:
+                Y = np.array([ev.x[j] + 1e-3 * _gaussian(space, rngs[ids[j]]) for j in again])
+                ev.put(again, _objective(T, r, _normalize(Y, r)))
+                restarts[again] += 1
+                stalls[again] = 0
+                step[again] = 1.0
+        stop |= (stalls == 3) | (rounds == MAX_ITER)
         if stop.any():
-            values[ids[stop]], X[ids[stop]] = ev.value[stop], ev.x[stop]
+            values[ids[stop]], X[ids[stop]], iters[ids[stop]] = ev.value[stop], ev.x[stop], rounds
             keep = ~stop
             ids, ev, step, stalls, restarts = ids[keep], ev.take(keep), step[keep], stalls[keep], restarts[keep]
     return values, X, iters
@@ -419,6 +429,7 @@ def radius_smooth(
     default_rng([seed, k]).  The starts run in lockstep, in blocks of at
     most DEFAULT_STARTS rows, so memory does not grow with `starts`.
     """
+    _check_dims(T, space)
     if not space.is_smooth_lp:
         raise Unsupported("radius_smooth requires an l_r space with 1 < r < inf")
     if T.field == COMPLEX and space.field != COMPLEX:

@@ -212,9 +212,21 @@ def _signed_power(z: np.ndarray, e: float) -> np.ndarray:
     """
     z = np.asarray(z)
     a = np.abs(z)
-    out = np.zeros_like(z)
+    return _off_tiny(a, lambda z, a: _conj(z) * a**e, z, a)
+
+
+def _conj(z: np.ndarray) -> np.ndarray:
+    """conj(z), skipping the call on real arrays, where it is the identity."""
+    return np.conj(z) if z.dtype.kind == "c" else z
+
+
+def _off_tiny(a: np.ndarray, f, *args) -> np.ndarray:
+    """Elementwise f(*args) where a > 1e-300 and 0 elsewhere; unmasked, for fewer calls, when no entry is that small."""
+    if a.min(initial=math.inf) > 1e-300:
+        return f(*args)
     nz = a > 1e-300
-    out[nz] = np.conj(z[nz]) * a[nz] ** e
+    out = np.zeros(a.shape, np.result_type(*args))
+    out[nz] = f(*(u[nz] for u in args))
     return out
 
 

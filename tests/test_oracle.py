@@ -9,6 +9,7 @@ import jointradius.subdiff
 from jointradius import (
     COMPLEX,
     REAL,
+    DimensionMismatch,
     OperatorTuple,
     audit,
     fd_gateaux,
@@ -25,6 +26,11 @@ from conftest import hilbert, linf, lr, single
 
 
 class TestSampledRadius:
+    @pytest.mark.parametrize("space", [hilbert(2, REAL), linf(2)], ids=["l2", "linf"])
+    def test_rejects_a_dimension_mismatch(self, space):
+        with pytest.raises(DimensionMismatch, match="space dimension 2 does not match operator dimension 3"):
+            sampled_radius(single(np.eye(3)), space)
+
     def test_never_exceeds_exact(self, rng):
         sp = linf(2)
         for _ in range(10):

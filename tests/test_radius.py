@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jointradius import (
     COMPLEX,
     REAL,
+    DimensionMismatch,
     NormingPair,
     OperatorTuple,
     Unsupported,
@@ -391,15 +392,16 @@ def _unfused_ascend(T, space, x0, rng):
     """One start of the ascent as it was before its starts ran in lockstep and
     before it evaluated each point once; returns (value, x, iterations, restarts).
 
-    The step floor is read at call time, so that a test can raise it for
-    this loop and the engine alike.
+    The step floor and the iteration cap are read at call time, so that a
+    test can change them for this loop and the engine alike.
     """
     r = space.norm.r
-    min_step = sys.modules["jointradius.radius"].MIN_STEP
+    module = sys.modules["jointradius.radius"]
+    min_step, max_iter = module.MIN_STEP, module.MAX_ITER
     x = _unfused_normalize(space, x0)
     step = 1.0
     restarts = stalls = iters = 0
-    for _ in range(MAX_ITER):
+    for _ in range(max_iter):
         iters += 1
         fval, G = _unfused_gradient(T, r, x)
         gn2 = float(np.real(np.vdot(G, G)))
@@ -500,6 +502,49 @@ class TestFusedAscent:
         T = _unit(single([[1.0, 2.0], [3.0, 4.0]]))
         _assert_rows_match_unfused(T, lr(2, 1.5), fixed=[[1.0, 1e-200]])
 
+    @pytest.mark.parametrize("field, start", [(REAL, [0.6, 0.0, -0.8]), (COMPLEX, [0.6j, 0.0, 0.8])])
+    @pytest.mark.parametrize("r", [1.5, 3.0])
+    def test_matches_unfused_ascent_at_zero_coordinate(self, rng, field, start, r):
+        # an exact zero in x takes the masked branch of the coordinate powers
+        T = _unit(random_tuple(2, 3, field, 1.5, rng))
+        _assert_rows_match_unfused(T, lr(3, r, field), fixed=[start])
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("d, n", [(1, 3), (3, 4)])
+    def test_matches_unfused_ascent_across_shapes(self, rng, field, d, n):
+        T = _unit(random_tuple(d, n, field, 2.5, rng))
+        _assert_rows_match_unfused(T, lr(n, 1.5, field))
+
+    def test_every_row_takes_its_first_step_up_to_the_cap(self, monkeypatch):
+        # on diag(1, 0, 0), complex l_3, every row accepts its full step in
+        # every round until the cap, so each round makes one candidate pass
+        module = sys.modules["jointradius.radius"]
+        monkeypatch.setattr(module, "MAX_ITER", 40)
+        objective, passes = module._objective, []
+        monkeypatch.setattr(module, "_objective", lambda *args: passes.append(1) or objective(*args))
+        T = single(np.diag([1.0, 0.0, 0.0]), p=2.5, field=COMPLEX)
+        iters, restarts = _assert_rows_match_unfused(T, lr(3, 3.0, COMPLEX))
+        assert iters == [40] * 8 and restarts == [0] * 8
+        assert len(passes) == 1 + 40  # the starts, then one pass per round
+
+    @pytest.mark.parametrize("field, tuple_seed", [(REAL, 4), (COMPLEX, 0)])
+    def test_step_floor_between_halvings(self, monkeypatch, field, tuple_seed):
+        # start 0's first search passes first at s/2^h, h >= 1; a floor just
+        # above s/2^h leaves only its h failing halvings, so the search fails
+        # and the row restarts instead of taking a candidate below the floor
+        space = lr(3, 1.5, field)
+        T = _unit(random_tuple(2, 3, field, 1.5, np.random.default_rng(tuple_seed)))
+        x = _unfused_normalize(space, _starts(space, 0, 1)[0][0])
+        f, G = _unfused_gradient(T, 1.5, x)
+        gn2 = float(np.vdot(G, G).real)
+        s, h = min(4.0, 1.0 / (1.0 + math.sqrt(gn2))), 0
+        while _unfused_objective(T, 1.5, _unfused_normalize(space, x + s * 0.5**h * G)) < f + 0.3 * s * 0.5**h * gn2:
+            h += 1
+        assert 1 <= h <= 3
+        monkeypatch.setattr(sys.modules["jointradius.radius"], "MIN_STEP", 1.5 * s * 0.5**h)
+        _, restarts = _assert_rows_match_unfused(T, space)
+        assert restarts[0] >= 1
+
     def test_gradient_never_evaluates_the_objective(self, rng, monkeypatch):
         module = sys.modules["jointradius.radius"]
         gradient, objective = module._gradient, module._objective
@@ -574,6 +619,54 @@ class TestStartIndependence:
             want_f, want_x = _alone(T, sp, 0, k)
             assert values[k] == want_f
             assert X[k].tobytes() == want_x.tobytes()
+
+
+class TestDimensionMismatch:
+    """A tuple on n = 3 against a space of dimension 2 fails with one library error, not numpy's."""
+
+    T = single(np.eye(3))
+
+    @pytest.mark.parametrize("space", [hilbert(2, REAL), linf(2)], ids=["l2", "linf"])
+    def test_radius(self, space):
+        with pytest.raises(DimensionMismatch, match="space dimension 2 does not match operator dimension 3"):
+            radius(self.T, space)
+
+    def test_each_method(self):
+        with pytest.raises(DimensionMismatch):
+            radius_exact(self.T, linf(2))
+        with pytest.raises(DimensionMismatch):
+            radius_smooth(self.T, hilbert(2, REAL))
+
+    def test_rejected_before_any_solve(self, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("the solve ran before the dimension check")
+
+        module = sys.modules["jointradius.radius"]
+        monkeypatch.setattr(module, "_ascend_all", solve)
+        monkeypatch.setattr(module, "admissible_pairs", solve)
+        for space in (hilbert(2, REAL), linf(2)):
+            with pytest.raises(DimensionMismatch):
+                radius(self.T, space)
+
+
+class TestLargeExponent:
+    """w_p of (I, diag(1, -1)) on real l_2 is 2^(1/p), attained at e_1 and e_2."""
+
+    T2 = (np.eye(2), np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("p", [2.0, 10.0, 80.0])
+    def test_ascent_reaches_the_peak(self, p):
+        value = radius_smooth(OperatorTuple(self.T2, p=p), hilbert(2, REAL), starts=8).value
+        assert value == pytest.approx(2 ** (1 / p), rel=1e-12)
+
+    # At p = 1e3 the ascent returns 1.000000000285 and at p = 1e6
+    # 1.0000000000000002: the objective is about 1 away from e_1 and e_2,
+    # and no start climbs the narrow peaks there.
+    @pytest.mark.xfail(strict=True, reason="the ascent misses the narrow peaks of a large p")
+    @pytest.mark.parametrize("p", [1e3, 1e6])
+    def test_ascent_misses_the_peak_at_large_p(self, p):
+        value = radius_smooth(OperatorTuple(self.T2, p=p), hilbert(2, REAL), starts=8).value
+        assert value == pytest.approx(2 ** (1 / p), rel=1e-12)
 
 
 class TestAttainTolRange:
