@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidDescriptor
 from .spaces import (
-    COMPLEX, REAL, NormingPair, SpaceDescriptor, _json_float, _json_int, _signed_power, lp_norm, lp_norm_rows
+    COMPLEX, REAL, NormingPair, SpaceDescriptor, _json_int, _number, _signed_power, lp_norm, lp_norm_rows
 )
 
 ATTAINING_TOL = 1e-6  # relative gap at which coefficient_rows warns
@@ -28,7 +28,9 @@ class OperatorTuple:
     field: str = REAL
 
     def __post_init__(self):
-        if not (1.0 < self.p < math.inf):
+        if self.field not in (REAL, COMPLEX):
+            raise InvalidDescriptor(f"unknown field {self.field!r}")
+        if not (1.0 < _number(self.p, "aggregation exponent p") < math.inf):
             raise InvalidDescriptor(f"aggregation exponent must satisfy 1 < p < inf, got {self.p}")
         if len(self.matrices) < 1:
             raise InvalidDescriptor("tuple needs at least one operator")
@@ -170,15 +172,15 @@ def _entry_from_json(v, field: str):
             raise InvalidDescriptor("complex entry [re, im] in a real-field tuple")
         if len(v) != 2:
             raise InvalidDescriptor("complex entries must be [re, im] pairs")
-        return complex(_json_float(v[0], "matrix entry"), _json_float(v[1], "matrix entry"))
-    return _json_float(v, "matrix entry")
+        return complex(_number(v[0], "matrix entry"), _number(v[1], "matrix entry"))
+    return _number(v, "matrix entry")
 
 
 def tuple_from_json(obj: dict, field: str, default_p: float = 2.0) -> OperatorTuple:
     """The tuple of a `tuple` object; InvalidDescriptor on any malformed field."""
     if not isinstance(obj, dict) or "matrices" not in obj:
         raise InvalidDescriptor("tuple object must contain 'matrices'")
-    p = _json_float(obj.get("p", default_p), "p")
+    p = _number(obj.get("p", default_p), "p")
     try:
         mats = [[[_entry_from_json(v, field) for v in row] for row in M] for M in obj["matrices"]]
     except TypeError as exc:  # a matrix or a row that is not a list

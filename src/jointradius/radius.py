@@ -18,8 +18,9 @@ The starts run in lockstep as the rows of one array, each with its own
 step, counters and random stream, and each stops by its own rule.  The
 backtracking is speculative: one pass evaluates a row at s, s/2, s/4 and
 s/8 and takes the first that passes, the point a halving loop accepts, so
-each start reaches the floats it would reach alone.  In a round where every
-row takes its s, the first block of candidates is the new state, ungathered.
+each start reaches the floats it would reach alone.  When every row passes
+in that pass, as in most rounds, one gather (none if every row takes s) of
+the passing candidates is the new state; only other rounds scatter.
 """
 
 from __future__ import annotations
@@ -324,7 +325,8 @@ def _gradient(T: OperatorTuple, r: float, ev: _Evaluation) -> np.ndarray:
 
     # project onto the tangent of the l_r sphere at x; |nu| > 0 on a unit vector
     nu = _conj(s)  # gradient direction of the norm, x_k|x_k|^(r-2)
-    G -= (_real_dots(nu, G) / _real_dots(nu, nu))[:, None] * nu
+    sv = s[:, None, :]  # conj(nu), so Re<nu, v> is Re(sv @ v)
+    G -= ((sv @ G[:, :, None]).real / (sv @ nu[:, :, None]).real)[:, 0] * nu
     return G
 
 
@@ -347,7 +349,10 @@ def _ascend_all(T: OperatorTuple, space: SpaceDescriptor, X0: np.ndarray, rngs):
     - A backtracking pass evaluates its m pending rows at s, s/2, s/4 and
       s/8 at once (candidate h m + q is row q at s/2^h), and each row takes
       its first that passes the Armijo test: the point a halving loop
-      accepts.  If every live row takes s, candidates 0..m-1 are its rows.
+      accepts.  If every live row passes in the first pass, the round ends
+      in one gather of the passing candidates (none if each takes s: then
+      candidates 0..m-1 are its rows).  Otherwise passing rows are scattered
+      into the state and the rest search again from s/16 or restart.
     - iters[j] counts the gradients of row j, one per round it is live.
     """
     r = space.norm.r
@@ -378,9 +383,16 @@ def _ascend_all(T: OperatorTuple, space: SpaceDescriptor, X0: np.ndarray, rngs):
             ok = cand.value.reshape(4, m) >= f + 0.3 * steps * g2
             ok &= steps >= MIN_STEP
             # a gain below 1e-15 f (f >= 0) is rounding; a null step (cand == x) gains 0
-            if whole and ok[0].all():
-                stalls = np.where(cand.value[:m] - f <= 1e-15 * f, stalls + 1, 0)
-                step, ev = s, cand.take(slice(m))
+            if whole and ok[0].all():  # every row takes its s: the first m candidates, ungathered
+                c, step = slice(m), s
+            elif whole and ok.any(axis=0).all():  # every row passes in this pass: one gather
+                c = ok.argmax(axis=0) * m + todo
+                step = steps.ravel()[c]
+            else:
+                c = None
+            if c is not None:  # the round ends with no scatter and nothing to restart
+                ev = cand.take(c)
+                stalls = np.where(ev.value - f <= 1e-15 * f, stalls + 1, 0)
                 break
             whole, hit = False, ok.any(axis=0)
             q = hit.nonzero()[0]
@@ -393,7 +405,7 @@ def _ascend_all(T: OperatorTuple, space: SpaceDescriptor, X0: np.ndarray, rngs):
             todo, f, g2, s = todo[more], f[more], g2[more], s[more] * 0.0625
         # a failed search may be a stall at a kink (some z_i = 0 with p < 2):
         # restart the row from a small perturbation, at most twice
-        if not whole:  # when whole, every row took its s and no search failed
+        if not whole:  # when whole, every row passed in the first pass and no search failed
             again = (failed & (restarts < 2)).nonzero()[0]
             stop |= failed & (restarts == 2)
             if again.size:
@@ -402,7 +414,10 @@ def _ascend_all(T: OperatorTuple, space: SpaceDescriptor, X0: np.ndarray, rngs):
                 restarts[again] += 1
                 stalls[again] = 0
                 step[again] = 1.0
-        stop |= (stalls == 3) | (rounds == MAX_ITER)
+        if rounds == MAX_ITER:
+            stop[:] = True
+        else:
+            stop |= stalls == 3
         if stop.any():
             values[ids[stop]], X[ids[stop]], iters[ids[stop]] = ev.value[stop], ev.x[stop], rounds
             keep = ~stop

@@ -47,7 +47,7 @@ class LpNorm:
     r: float  # in [1, inf]
 
     def __post_init__(self):
-        if not (self.r >= 1):
+        if not (_number(self.r, "r") >= 1):
             raise InvalidDescriptor(f"l_r norm needs r >= 1, got {self.r}")
 
 
@@ -66,8 +66,11 @@ class SpaceDescriptor:
     def __post_init__(self):
         if self.field not in (REAL, COMPLEX):
             raise InvalidDescriptor(f"unknown field {self.field!r}")
-        if self.dim < 1:
-            raise InvalidDescriptor("dim must be a positive integer")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 1:
+            raise InvalidDescriptor(f"dim must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))  # a numpy integer would not serialize to JSON
+        if not isinstance(self.norm, (LpNorm, Polyhedral)):
+            raise InvalidDescriptor(f"norm must be an LpNorm or a Polyhedral, got {self.norm!r}")
         if isinstance(self.norm, Polyhedral):
             self._validate_polyhedral()
 
@@ -124,12 +127,12 @@ class NormingPair:
         """x*(z) under the conjugation convention."""
         return np.vdot(self.x_star, z).item()
 
-    def validate(self, space: SpaceDescriptor, tol: float = PAIR_TOL) -> None:
-        if abs(norm_eval(space, self.x) - 1.0) > tol:
+    def validate(self, space: SpaceDescriptor) -> None:
+        if abs(norm_eval(space, self.x) - 1.0) > PAIR_TOL:
             raise InvalidDescriptor("x is not a unit vector")
-        if abs(dual_norm_eval(space, self.x_star) - 1.0) > tol:
+        if abs(dual_norm_eval(space, self.x_star) - 1.0) > PAIR_TOL:
             raise InvalidDescriptor("x_star is not a unit dual vector")
-        if abs(self.functional(self.x) - 1.0) > tol:
+        if abs(self.functional(self.x) - 1.0) > PAIR_TOL:
             raise InvalidDescriptor("x_star(x) != 1")
 
 
@@ -173,20 +176,21 @@ def lp_norm(z: np.ndarray, p: float) -> float:
 
 
 def lp_power_sums(Z: np.ndarray, p: float):
-    """Row scales m = max |z_i| (1 on a zero row) and sums sum_i (|z_i| / m)^p of the finite 2-D array Z.
+    """Row scales m = max |z_i| and sums sum_i (|z_i| / m)^p of the finite 2-D array Z.
 
     The l_p norm of a row is m * sum^(1/p).  Dividing by m first keeps
     |z_i|^p inside the floating-point range for any scale of z and any
-    p >= 1.  Rows shorter than 8 are summed on a column-major copy, which
-    adds whole columns at once, left to right, as numpy sums so few entries;
-    longer rows are summed in place, by numpy's pairwise sum of each row.
+    p >= 1.  A zero row has the scale 5e-324 and the sum 0, so norm 0.  Rows
+    shorter than 8 are summed on a column-major copy, which adds whole
+    columns at once, left to right, as numpy sums so few entries; longer
+    rows are summed in place, by numpy's pairwise sum of each row.
     """
     A = np.abs(Z)
     short = A.shape[1] < 8
     if short:
         A = np.ascontiguousarray(A.T)  # no copy when Z is a transposed C array
     m = A.max(axis=0 if short else 1)
-    m[m == 0] = 1.0  # a zero row has norm 0 at any scale
+    np.maximum(m, 5e-324, out=m)  # the least subnormal: only a zero row is raised
     A /= m if short else m[:, None]
     A **= p
     return m, A.sum(axis=0 if short else 1)
@@ -198,8 +202,11 @@ def lp_norm_rows(Z: np.ndarray, p: float) -> np.ndarray:
     The root is taken with np.float_power, which calls the C library's pow
     as Python's float ** float does.  numpy's ** on a float array may use a
     vectorised pow instead, which rounds differently on about 5 % of inputs
-    on AVX-512 hosts.
+    on AVX-512 hosts.  A one-column row's norm is |z|: the general path
+    gives m * 1^(1/p) = |z| exactly, as (|z| / |z|)^p = 1.
     """
+    if Z.shape[1] == 1:
+        return np.abs(Z[:, 0])
     m, sums = lp_power_sums(Z, p)
     return m * np.float_power(sums, 1.0 / p)
 
@@ -390,8 +397,8 @@ def space_to_json(space: SpaceDescriptor) -> dict:
     return {"field": space.field, "dim": space.dim, "norm": norm}
 
 
-def _json_float(v, what: str) -> float:
-    """The number v as a float; InvalidDescriptor on anything else, bools and null included."""
+def _number(v, what: str) -> float:
+    """The real number v as a float; InvalidDescriptor on anything else, bools and None included."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise InvalidDescriptor(f"{what} must be a number, got {v!r}")
     return float(v)
@@ -399,7 +406,7 @@ def _json_float(v, what: str) -> float:
 
 def _json_int(v, what: str) -> int:
     """The number v as an int; InvalidDescriptor unless it is integral (2.0 is, 2.5 and true are not)."""
-    if not _json_float(v, what).is_integer():
+    if not _number(v, what).is_integer():
         raise InvalidDescriptor(f"{what} must be an integer, got {v!r}")
     return int(v)
 
@@ -411,10 +418,10 @@ def space_from_json(obj: dict) -> SpaceDescriptor:
         kind = norm_obj["kind"]
         if kind == "lp":
             r = norm_obj["r"]
-            norm = LpNorm(math.inf if r in ("inf", "Infinity") else _json_float(r, "r"))
+            norm = LpNorm(math.inf if r in ("inf", "Infinity") else _number(r, "r"))
         elif kind == "polyhedral":
             primal, dual = (
-                tuple(tuple(_json_float(c, f"{key} entry") for c in v) for v in norm_obj[key])
+                tuple(tuple(_number(c, f"{key} entry") for c in v) for v in norm_obj[key])
                 for key in ("primal_extremes", "dual_extremes")
             )
             norm = Polyhedral(primal, dual)

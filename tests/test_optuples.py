@@ -38,6 +38,19 @@ class TestConstruction:
         with pytest.raises(InvalidDescriptor):
             OperatorTuple((np.eye(2),), p=p)
 
+    @pytest.mark.parametrize("p", ["2", True, None, 2 + 0j])
+    def test_p_must_be_a_real_number(self, p):
+        with pytest.raises(InvalidDescriptor, match="p must be a number"):
+            OperatorTuple((np.eye(2),), p=p)
+
+    @pytest.mark.parametrize("field", ["quaternion", "Complex", None])
+    def test_unknown_field_rejected(self, field):
+        with pytest.raises(InvalidDescriptor, match="unknown field"):
+            OperatorTuple((np.eye(2),), field=field)
+
+    def test_numpy_p(self):
+        assert OperatorTuple((np.eye(2),), p=np.float64(3.0)).q == pytest.approx(1.5)
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             OperatorTuple((np.eye(2), np.eye(3)), p=2.0)

@@ -431,6 +431,18 @@ def _unfused_ascend(T, space, x0, rng):
     return fval, x, iters, restarts
 
 
+def _first_search(T, space, x0):
+    """The first step s of `_unfused_ascend` from x0, and the first halving h whose step s/2^h passes."""
+    r = space.norm.r
+    x = _unfused_normalize(space, x0)
+    f, G = _unfused_gradient(T, r, x)
+    gn2 = float(np.vdot(G, G).real)
+    s, h = min(4.0, 1.0 / (1.0 + math.sqrt(gn2))), 0
+    while _unfused_objective(T, r, _unfused_normalize(space, x + s * 0.5**h * G)) < f + 0.3 * s * 0.5**h * gn2:
+        h += 1
+    return s, h
+
+
 def _unit(T):
     return OperatorTuple(T.matrices / T.max_entry(), p=T.p, field=T.field)
 
@@ -527,6 +539,30 @@ class TestFusedAscent:
         assert iters == [40] * 8 and restarts == [0] * 8
         assert len(passes) == 1 + 40  # the starts, then one pass per round
 
+    def test_rows_passing_at_different_halvings_end_the_round_in_one_gather(self, monkeypatch):
+        # the first search of each start passes at s, s/4 or s/8, and up to
+        # the cap every round ends in its first pass with no restart, so no
+        # round scatters candidates into the old state
+        module = sys.modules["jointradius.radius"]
+        monkeypatch.setattr(module, "MAX_ITER", 5)
+        space = lr(3, 1.5)
+        T = _unit(random_tuple(2, 3, REAL, 1.5, np.random.default_rng(32)))
+        assert [_first_search(T, space, x)[1] for x in _starts(space, 0, 8)[0]] == [0, 0, 0, 0, 3, 0, 2, 0]
+        objective, put, passes, puts = module._objective, module._Evaluation.put, [], []
+        monkeypatch.setattr(module, "_objective", lambda *args: passes.append(1) or objective(*args))
+        monkeypatch.setattr(module._Evaluation, "put", lambda *args: puts.append(1) or put(*args))
+        iters, restarts = _assert_rows_match_unfused(T, space)
+        assert iters == [5] * 8 and restarts == [0] * 8
+        assert len(passes) == 1 + 5  # the starts, then one pass per round
+        assert puts == []
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("r", [1.5, 3.0])
+    def test_matches_unfused_ascent_on_one_coordinate(self, rng, field, r):
+        # n = 1: every row norm of the ascent is of a one-column array
+        T = _unit(random_tuple(2, 1, field, 2.5, rng))
+        _assert_rows_match_unfused(T, lr(1, r, field))
+
     @pytest.mark.parametrize("field, tuple_seed", [(REAL, 4), (COMPLEX, 0)])
     def test_step_floor_between_halvings(self, monkeypatch, field, tuple_seed):
         # start 0's first search passes first at s/2^h, h >= 1; a floor just
@@ -534,12 +570,7 @@ class TestFusedAscent:
         # and the row restarts instead of taking a candidate below the floor
         space = lr(3, 1.5, field)
         T = _unit(random_tuple(2, 3, field, 1.5, np.random.default_rng(tuple_seed)))
-        x = _unfused_normalize(space, _starts(space, 0, 1)[0][0])
-        f, G = _unfused_gradient(T, 1.5, x)
-        gn2 = float(np.vdot(G, G).real)
-        s, h = min(4.0, 1.0 / (1.0 + math.sqrt(gn2))), 0
-        while _unfused_objective(T, 1.5, _unfused_normalize(space, x + s * 0.5**h * G)) < f + 0.3 * s * 0.5**h * gn2:
-            h += 1
+        s, h = _first_search(T, space, _starts(space, 0, 1)[0][0])
         assert 1 <= h <= 3
         monkeypatch.setattr(sys.modules["jointradius.radius"], "MIN_STEP", 1.5 * s * 0.5**h)
         _, restarts = _assert_rows_match_unfused(T, space)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from jointradius import (
     InvalidDescriptor,
     LpNorm,
     NormingPair,
+    OperatorTuple,
     Polyhedral,
     SpaceDescriptor,
     Unsupported,
@@ -21,6 +23,7 @@ from jointradius import (
     duality_map,
     extreme_points,
     norm_eval,
+    radius,
     sample_pairs,
     space_from_json,
     space_to_json,
@@ -68,7 +71,7 @@ class TestLpNorm:
     @pytest.mark.parametrize("p", [1.01, 2.0, 80.0, 1e4])
     def test_bit_identical_to_numpy_reductions(self, rng, field, p):
         for n in range(1, 13):
-            for scale in (1e-150, 1.0, 1e150):
+            for scale in (1e-310, 1e-150, 1.0, 1e150):
                 for _ in range(20):
                     z = rng.standard_normal(n) * scale
                     if field == COMPLEX:
@@ -78,9 +81,10 @@ class TestLpNorm:
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("p", [1.01, 2.0, 80.0, 1e4])
     def test_rows_are_bit_identical_to_lp_norm(self, rng, field, p):
-        # rows shorter than 8 take the column-major sum, longer ones numpy's pairwise sum
+        # rows shorter than 8 take the column-major sum, longer ones numpy's
+        # pairwise sum, and one-column rows are |z|; 1e-310 is subnormal
         for n in range(1, 13):
-            for scale in (1e-150, 1.0, 1e150):
+            for scale in (1e-310, 1e-150, 1.0, 1e150):
                 Z = rng.standard_normal((40, n)) * scale
                 if field == COMPLEX:
                     Z = Z + 1j * rng.standard_normal((40, n)) * scale
@@ -317,6 +321,35 @@ class TestHolderConsistency:
         # the closed-form coefficients attain the supremum over the dual ball
         assert pair.functional(v) == pytest.approx(1.0, abs=1e-12)
         assert dual_norm_eval(sp, pair.x_star) <= 1.0 + 1e-12
+
+
+class TestDescriptorConstruction:
+    """A descriptor built in Python is checked as the JSON path checks it."""
+
+    @pytest.mark.parametrize("dim", [2.0, True, "2", None, 0, -1])
+    @pytest.mark.parametrize("r", [2.0, math.inf])
+    def test_dim_must_be_a_positive_integer(self, dim, r):
+        with pytest.raises(InvalidDescriptor, match="dim must be a positive integer"):
+            SpaceDescriptor(REAL, dim, LpNorm(r))
+
+    @pytest.mark.parametrize("r", [2.0, math.inf])
+    def test_numpy_integer_dim(self, r):
+        sp = SpaceDescriptor(REAL, np.int64(2), LpNorm(r))
+        assert radius(OperatorTuple((np.diag([1.0, -2.0]),)), sp).value == pytest.approx(2.0, rel=1e-12)
+        assert json.loads(json.dumps(space_to_json(sp)))["dim"] == 2
+
+    @pytest.mark.parametrize("norm", ["l2", 2.0, None])
+    def test_norm_must_be_a_norm_object(self, norm):
+        with pytest.raises(InvalidDescriptor, match="norm must be"):
+            SpaceDescriptor(REAL, 2, norm)
+
+    @pytest.mark.parametrize("r", ["2", True, None, 2j])
+    def test_r_must_be_a_real_number(self, r):
+        with pytest.raises(InvalidDescriptor, match="r must be a number"):
+            LpNorm(r)
+
+    def test_numpy_r(self):
+        assert norm_eval(SpaceDescriptor(REAL, 2, LpNorm(np.float64(1.0))), [3.0, -4.0]) == 7.0
 
 
 class TestPolyhedralDescriptor:
