@@ -18,7 +18,7 @@ from .spaces import (
     COMPLEX, REAL, NormingPair, SpaceDescriptor, _json_int, _number, _signed_power, lp_norm, lp_norm_rows
 )
 
-ATTAINING_TOL = 1e-6  # relative gap at which coefficient_rows warns
+ATTAINING_TOL = 1e-6  # relative gap above which a pair does not attain
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,7 @@ class OperatorTuple:
         mats = raw.astype(complex) if self.field == COMPLEX else raw.real.astype(float)
         if not np.all(np.isfinite(mats)):
             raise InvalidDescriptor("matrix entries must be finite")
+        mats.setflags(write=False)  # a private copy: no in-place write can move a frozen tuple
         object.__setattr__(self, "matrices", mats)
 
     @property
@@ -98,25 +99,32 @@ def aggregate(T: OperatorTuple, pair: NormingPair) -> float:
     return lp_norm(pair_image(T, pair), T.p)
 
 
-def coefficient_rows(T: OperatorTuple, X: np.ndarray, XS: np.ndarray, w: float) -> np.ndarray:
-    """Row k is the coefficient vector of the pair (X[k], XS[k]):
-    alpha_i = conj(z_i)|z_i|^(p-2) / w^(p-1) with z = (x*(T_i x))_i.
+def coefficient_rows(T: OperatorTuple, X: np.ndarray, XS: np.ndarray, w: float):
+    """(alpha, attains): row k of alpha is the coefficient vector of the pair
+    (X[k], XS[k]), alpha_i = conj(z_i)|z_i|^(p-2) / w^(p-1) with z = (x*(T_i x))_i.
 
-    Warns once when some pair's l_p value is more than ATTAINING_TOL * w
-    from w, that is, when it does not attain the radius w.  The test runs on
-    z / w, whose l_p norm is near 1 at any scale of T.
+    attains is False when some pair's l_p value is more than ATTAINING_TOL * w
+    from w, that is, when it does not attain the radius w; callers pass it to
+    `warn_unless_attaining`.  The test runs on z / w, whose l_p norm is near 1
+    at any scale of T.
     """
     if w <= 0:
         raise ValueError("subdifferential coefficients need w > 0")
     Zw = pair_images(T, X, XS) / w
-    if np.any(np.abs(lp_norm_rows(Zw, T.p) - 1.0) > ATTAINING_TOL):
+    attains = not np.any(np.abs(lp_norm_rows(Zw, T.p) - 1.0) > ATTAINING_TOL)
+    return _signed_power(Zw, T.p - 2.0), attains  # equals conj(z)|z|^(p-2) / w^(p-1)
+
+
+def warn_unless_attaining(attains: bool) -> None:
+    if not attains:
         warnings.warn("pair does not attain the radius; coefficients are diagnostic only")
-    return _signed_power(Zw, T.p - 2.0)  # equals conj(z)|z|^(p-2) / w^(p-1)
 
 
 def subdiff_coefficients(T: OperatorTuple, pair: NormingPair, w: float) -> np.ndarray:
-    """Coefficient vector of one pair: the one-row case of `coefficient_rows`."""
-    return coefficient_rows(T, np.asarray(pair.x)[None], np.asarray(pair.x_star)[None], w)[0]
+    """Coefficient vector of one pair: the one-row case of `coefficient_rows`; warns unless it attains w."""
+    alpha, attains = coefficient_rows(T, np.asarray(pair.x)[None], np.asarray(pair.x_star)[None], w)
+    warn_unless_attaining(attains)
+    return alpha[0]
 
 
 def rank_one_tuple(space: SpaceDescriptor, pair: NormingPair, alpha, p: float = 2.0) -> OperatorTuple:

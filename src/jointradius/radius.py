@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -80,6 +80,7 @@ class RadiusResult:
     method: str
     attaining: AttainingSet
     degenerate: bool = False
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # for subdiff._table
 
     @property
     def exhaustive(self) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
@@ -53,8 +54,13 @@ class LpNorm:
 
 @dataclass(frozen=True)
 class Polyhedral:
-    primal_extremes: tuple  # tuple of real vectors
+    primal_extremes: tuple  # tuple of float tuples, from any nested sequence of reals (as JSON input is read)
     dual_extremes: tuple
+
+    def __post_init__(self):
+        for key in ("primal_extremes", "dual_extremes"):
+            extremes = tuple(tuple(_number(c, f"{key} entry") for c in v) for v in getattr(self, key))
+            object.__setattr__(self, key, extremes)
 
 
 @dataclass(frozen=True)
@@ -335,18 +341,28 @@ class AdmissiblePairs(Sequence):
         return [NormingPair(primal[i], dual[j]) for i, j in zip(rows, cols)]
 
 
+# space -> read-only (primal, dual, rows, cols); an entry lives as long as its key space does
+_PAIR_TABLES = weakref.WeakKeyDictionary()
+
+
 def admissible_pairs(space: SpaceDescriptor) -> AdmissiblePairs:
     """All extreme pairs (x, x*) with x*(x) = 1; exact basis for the radius.
 
     Returns an `AdmissiblePairs` sequence, primal-major: all functionals of
     the first primal extreme, then those of the second, and so on, each in
-    the order of the dual extremes.
+    the order of the dual extremes.  The arrays are built once per space
+    value, shared read-only by equal spaces, and wrapped afresh per call.
     """
-    primal, dual = extreme_points(space)
-    rows, cols = np.nonzero(np.abs(primal @ dual.T - 1.0) <= DESCRIPTOR_TOL)
-    if len(rows) == 0:
-        raise InvalidDescriptor("no admissible pairs: inconsistent descriptor")
-    return AdmissiblePairs(primal, dual, rows, cols)
+    table = _PAIR_TABLES.get(space)
+    if table is None:
+        primal, dual = extreme_points(space)
+        rows, cols = np.nonzero(np.abs(primal @ dual.T - 1.0) <= DESCRIPTOR_TOL)
+        if len(rows) == 0:
+            raise InvalidDescriptor("no admissible pairs: inconsistent descriptor")
+        table = _PAIR_TABLES[space] = (primal, dual, rows, cols)
+        for a in table:
+            a.setflags(write=False)
+    return AdmissiblePairs(*table)
 
 
 def _gaussian(space: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:
@@ -420,11 +436,7 @@ def space_from_json(obj: dict) -> SpaceDescriptor:
             r = norm_obj["r"]
             norm = LpNorm(math.inf if r in ("inf", "Infinity") else _number(r, "r"))
         elif kind == "polyhedral":
-            primal, dual = (
-                tuple(tuple(_number(c, f"{key} entry") for c in v) for v in norm_obj[key])
-                for key in ("primal_extremes", "dual_extremes")
-            )
-            norm = Polyhedral(primal, dual)
+            norm = Polyhedral(norm_obj["primal_extremes"], norm_obj["dual_extremes"])
         else:
             raise InvalidDescriptor(f"unknown norm kind {kind!r}")
     except KeyError as exc:

@@ -4,8 +4,9 @@ Every norm-one functional supporting the joint radius at T is a convex
 combination of rank-one generators f_k(S) = sum_i alpha_ki x_k*(S_i x_k),
 one per attaining unimodular orbit (orbit-mates induce the same
 functional).  `_table` stacks them as (X, XS, alpha): the orbit
-representatives and their coefficient rows.  `evaluate` reads it in one
-array pass per direction, for the derivative range and the orthogonality
+representatives and their coefficient rows, built once per radius result
+and tuple object and kept, read-only, on the result.  `evaluate` reads it in
+one array pass per direction, for the derivative range and the orthogonality
 rows; only `generators` wraps its rows as `SubdiffGenerator` objects.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optuples import OperatorTuple, coefficient_rows, pair_images
+from .optuples import OperatorTuple, coefficient_rows, pair_images, warn_unless_attaining
 from .radius import RadiusResult, _require_positive
 from .spaces import NormingPair, SpaceDescriptor
 
@@ -54,13 +55,21 @@ class SmoothnessReport:
 def _table(T: OperatorTuple, rr: RadiusResult):
     """Row k: orbit k's representative (X[k], XS[k]) and coefficients alpha[k].
 
-    `coefficient_rows` warns when a representative does not attain the
-    radius within 1e-6 relative.
+    The read-only table is kept on rr for the T object it was built for (any
+    other T builds its own); each call warns when a representative does not
+    attain the radius within 1e-6 relative.
     """
     _require_positive(rr)
-    reps = [orb.representative for orb in rr.attaining.orbits]
-    X, XS = np.array([pr.x for pr in reps]), np.array([pr.x_star for pr in reps])
-    return X, XS, coefficient_rows(T, X, XS, rr.value)
+    memo = rr._memo.get("table")
+    if memo is None or memo[0] is not T:
+        reps = [orb.representative for orb in rr.attaining.orbits]
+        X, XS = np.array([pr.x for pr in reps]), np.array([pr.x_star for pr in reps])
+        alpha, attains = coefficient_rows(T, X, XS, rr.value)
+        for a in (X, XS, alpha):
+            a.setflags(write=False)
+        memo = rr._memo["table"] = (T, (X, XS, alpha), attains)
+    warn_unless_attaining(memo[2])
+    return memo[1]
 
 
 def generators(T: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult):

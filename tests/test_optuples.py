@@ -82,6 +82,28 @@ class TestConstruction:
     def test_conjugate_exponent(self):
         assert OperatorTuple((np.eye(2),), p=3.0).q == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_matrices_are_read_only(self, field):
+        M = np.array([[1.0, 2.0], [3.0, 4.0]])
+        T = OperatorTuple((M,), p=3.0, field=field)
+        with pytest.raises(ValueError):
+            T.matrices[0, 0, 0] = 5.0
+        M[0, 0] = 5.0  # the tuple holds its own copy
+        assert T.matrices[0, 0, 0] == 1.0
+        derived = [
+            T.scaled(2.0),
+            T + T,
+            T - T.scaled(0.5),
+            tuple_combine(T, T, [3.0]),
+            OperatorTuple(T.matrices, p=T.p, field=field),
+            rank_one_tuple(hilbert(2, field), _pair([1.0, 0.0]), np.array([1.0]), p=3.0),
+        ]
+        want = [2.0, 2.0, 0.5, 4.0, 1.0, 1.0]
+        for D, w in zip(derived, want):
+            assert D.matrices is not T.matrices and not D.matrices.flags.writeable
+            assert D.matrices[0, 0, 0] == w
+        assert T.matrices[0, 0, 0] == 1.0
+
 
 class TestPairImage:
     def test_identity(self):

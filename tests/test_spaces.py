@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -28,7 +29,7 @@ from jointradius import (
     space_from_json,
     space_to_json,
 )
-from jointradius.spaces import AdmissiblePairs, lp_norm, lp_norm_rows
+from jointradius.spaces import DESCRIPTOR_TOL, _PAIR_TABLES, AdmissiblePairs, lp_norm, lp_norm_rows
 from conftest import hilbert, l1, linf, lr, near_duplicate_polygon, random_polygon_space
 
 
@@ -276,6 +277,75 @@ class TestAdmissiblePairs:
         # pairs 0 and 1 share their primal extreme, and so its row view
         assert built[1].x is built[3].x
         assert pairs.at(np.array([], dtype=int)) == []
+
+
+class TestPairTable:
+    """The pair table is built once per space value and shared read-only."""
+
+    @pytest.mark.parametrize("make", [linf, l1])
+    def test_equal_spaces_share_read_only_arrays(self, make):
+        spaces = make(3), make(3)  # kept alive: the entry lives as long as its key space
+        a, b = map(admissible_pairs, spaces)
+        assert a is not b
+        for name in ("primal", "dual", "rows", "cols"):
+            arr = getattr(a, name)
+            assert arr is getattr(b, name)
+            assert not arr.flags.writeable
+
+    def test_pair_vectors_are_read_only(self):
+        pr = admissible_pairs(linf(2))[0]
+        with pytest.raises(ValueError):
+            pr.x[0] = 5.0
+        with pytest.raises(ValueError):
+            pr.x_star[0] = 5.0
+
+    def test_table_is_the_mask(self, rng):
+        spaces = [make(n) for n in range(1, 9) for make in (linf, l1)] + [random_polygon_space(rng, 7)]
+        for sp in spaces:
+            pairs = admissible_pairs(sp)
+            P, D = extreme_points(sp)
+            rows, cols = np.nonzero(np.abs(P @ D.T - 1) <= DESCRIPTOR_TOL)
+            np.testing.assert_array_equal(pairs.rows, rows)
+            np.testing.assert_array_equal(pairs.cols, cols)
+            np.testing.assert_array_equal(pairs.primal, P)
+            np.testing.assert_array_equal(pairs.dual, D)
+
+    def test_entry_dropped_with_the_last_equal_space(self):
+        dim = 11  # no other test keeps a space of this value alive
+        a, b = linf(dim), linf(dim)
+        admissible_pairs(a)
+        admissible_pairs(b)
+        assert len([sp for sp in _PAIR_TABLES.keys() if sp == a]) == 1
+        del a
+        gc.collect()
+        assert admissible_pairs(b).primal.shape == (2**dim, dim)
+        del b
+        gc.collect()
+        assert not [sp for sp in _PAIR_TABLES.keys() if sp == linf(dim)]
+
+    def test_polygon_from_lists_arrays_and_tuples(self):
+        square = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
+        cross = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+        built = [
+            SpaceDescriptor(field=REAL, dim=2, norm=Polyhedral(prim, dual))
+            for prim, dual in (
+                (square, cross),
+                (np.array(square), np.array(cross)),
+                (tuple(map(tuple, square)), tuple(map(tuple, cross))),
+            )
+        ]
+        assert built[0] == built[1] == built[2]
+        assert len({hash(sp) for sp in built}) == 1
+        assert all(type(c) is float for v in built[1].norm.primal_extremes for c in v)
+        tables = [admissible_pairs(sp) for sp in built]
+        assert tables[0].primal is tables[1].primal is tables[2].primal
+        T = OperatorTuple((np.array([[1.0, 2.0], [3.0, 4.0]]),))
+        assert [radius(T, sp).value for sp in built] == [7.0] * 3
+
+    @pytest.mark.parametrize("entry", ["1.0", True, None, 1j])
+    def test_polygon_entries_must_be_numbers(self, entry):
+        with pytest.raises(InvalidDescriptor, match="primal_extremes entry must be a number"):
+            Polyhedral(((entry, 0.0), (-1.0, 0.0)), ((1.0,), (-1.0,)))
 
 
 class TestSamplePairs:

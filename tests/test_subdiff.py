@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import jointradius.subdiff as subdiff_module
 from jointradius import (
     COMPLEX,
     REAL,
@@ -14,6 +15,7 @@ from jointradius import (
     gateaux_derivative,
     gateaux_one_sided,
     generators,
+    orth_scalar,
     radius,
     radius_exact,
     radius_smooth,
@@ -141,14 +143,59 @@ class TestStackedRowsAgainstPerOrbit:
         T = single(np.diag([1.0, 0.5])).scaled(c)
         loose = radius_exact(T, sp, attain_tol=0.9)
         assert len(loose.attaining.orbits) == 4
-        with pytest.warns(UserWarning, match="does not attain"):
-            generators(T, sp, loose)
+        # the table is built once, but every public call on the loose result warns once
+        S = single(np.eye(2)).scaled(c)
+        for call in (
+            lambda: generators(T, sp, loose),
+            lambda: generators(T, sp, loose),
+            lambda: gateaux_one_sided(T, S, sp, loose),
+            lambda: orth_scalar(T, S, sp, loose),
+        ):
+            with pytest.warns(UserWarning, match="does not attain") as record:
+                call()
+            assert len([w for w in record if "does not attain" in str(w.message)]) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             generators(T, sp, radius_exact(T, sp))
 
 
 class TestGeneratorTable:
+    @staticmethod
+    def _count_passes(monkeypatch):
+        calls = []
+        inner = subdiff_module.coefficient_rows
+
+        def counted(*args):
+            calls.append(args[0])
+            return inner(*args)
+
+        monkeypatch.setattr(subdiff_module, "coefficient_rows", counted)
+        return calls
+
+    @pytest.mark.parametrize("case", [0, 3, 5], ids=["linf", "polygon", "complex-l3"])
+    def test_one_coefficient_pass_per_result(self, monkeypatch, case):
+        T, sp, rr, dirs = _orbit_problems()[case]
+        calls = self._count_passes(monkeypatch)
+        gens = generators(T, sp, rr)
+        smoothness(T, sp, rr)
+        gateaux_one_sided(T, dirs[0], sp, rr)
+        orth_scalar(T, dirs[0], sp, rr)
+        assert len(calls) == 1 and calls[0] is T
+        table = _table(T, rr)
+        assert all(not a.flags.writeable for a in table)
+        assert [g.alpha.tolist() for g in gens] == table[2].tolist()
+
+    def test_equal_tuple_object_builds_its_own_table(self, monkeypatch):
+        T, sp, rr, dirs = _orbit_problems()[0]
+        twin = OperatorTuple(T.matrices, p=T.p, field=T.field)
+        calls = self._count_passes(monkeypatch)
+        first = _table(T, rr)
+        again = _table(twin, rr)
+        assert len(calls) == 2 and calls[0] is T and calls[1] is twin
+        assert again is not first
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
+
     def test_gateaux_builds_no_generator_objects(self, monkeypatch):
         T, sp, rr, dirs = _orbit_problems()[0]
         want = gateaux_one_sided(T, dirs[0], sp, rr)
