@@ -1,11 +1,12 @@
 """Birkhoff-James orthogonality certificates via hull-membership LPs.
 
-T is orthogonal to the scaling family of S (or to a tuple subspace V)
-exactly when the zero vector is a convex combination of the per-orbit
-constraint vectors: each orbit's subdifferential generator applied to the
-directions.  Feasible weights form the certificate; on non-exhaustive
-attaining sets the verdict is approximate because missed orbits can flip
-an infeasible LP.
+T is orthogonal to the scaling family of S (or to a tuple subspace V) exactly
+when zero is a convex combination of the per-orbit constraint vectors, each
+orbit's generator applied to the directions.  At one orbit (a smooth T) this
+is James's rule (Trans. AMS 61, 1947): orthogonal iff the unique support
+functional f vanishes on every direction, decided without the LP.  Feasible
+weights form the certificate; on non-exhaustive attaining sets the verdict is
+approximate because missed orbits can flip an infeasible LP.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import DependentDirection, EmptyBasis, InvalidCertificate
 from .lp import LP_TOL, HullProblem, hull_membership
-from .optuples import OperatorTuple
+from .optuples import OperatorTuple, pair_images
 from .radius import RadiusResult
 from .spaces import SpaceDescriptor
 from .subdiff import _table, evaluate
@@ -50,14 +51,7 @@ class TupleSubspace:
             first._check_compatible(S)
 
 
-def _scaling_family(S: OperatorTuple) -> TupleSubspace:
-    """The family (lam_1 S_1, ..., lam_d S_d): the span of the d tuples (0, ..., S_i, ..., 0)."""
-    parts = np.eye(S.d)[:, :, None, None] * S.matrices
-    return TupleSubspace(tuple(OperatorTuple(M, p=S.p, field=S.field) for M in parts))
-
-
-def _check_subspace_independent(T: OperatorTuple, V: TupleSubspace) -> None:
-    B = np.column_stack([S.matrices.ravel() for S in V.basis])
+def _check_independent(T: OperatorTuple, B: np.ndarray) -> None:
     t = T.matrices.ravel()
     coef, *_ = np.linalg.lstsq(B, t, rcond=None)
     if np.linalg.norm(t - B @ coef) < DEPENDENT_TOL * max(np.linalg.norm(t), 1e-300):
@@ -65,9 +59,13 @@ def _check_subspace_independent(T: OperatorTuple, V: TupleSubspace) -> None:
 
 
 def _points(T: OperatorTuple, direction, rr: RadiusResult) -> np.ndarray:
-    """Row k is f_k on the directions (S's scaling family or V), split into [Re | Im] on complex data."""
-    V = direction if isinstance(direction, TupleSubspace) else _scaling_family(direction)
-    rows = evaluate(_table(T, rr), V.basis)  # complex exactly on complex-field data
+    """Row k is f_k on the directions (S's scaling family or V), split into [Re | Im] on complex data;
+    f_k(0, ..., S_i, ..., 0) = alpha_ki x_k*(S_i x_k), in C order as `evaluate` lays it out."""
+    table = _table(T, rr)
+    if isinstance(direction, TupleSubspace):
+        rows = evaluate(table, direction.basis)  # complex exactly on complex-field data
+    else:
+        rows = np.ascontiguousarray(table[2] * pair_images(direction, *table[:2]))
     return np.hstack([rows.real, rows.imag]) if np.iscomplexobj(rows) else rows
 
 
@@ -82,6 +80,9 @@ def _decide(points: np.ndarray, rr: RadiusResult, ref: float) -> OrthResult:
     if scale <= LP_TOL * ref:
         # every constraint vanishes at the data's natural scale: orthogonal, weight 1 on row 0
         w = np.eye(1, len(points))[0]
+    elif len(points) == 1 and np.isfinite(scale):
+        # one orbit, f(S) != 0: James's rule says not orthogonal (the NNLS residual would be >= 1)
+        w = None
     else:
         w = hull_membership(HullProblem(points=points / scale, target=np.zeros(points.shape[1]))).weights
     cert = None if w is None else _certificate(points, w)
@@ -92,7 +93,9 @@ def orth_scalar(
     T: OperatorTuple, S: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult
 ) -> OrthResult:
     """Orthogonality of T to the family (lam_1 S_1, ..., lam_d S_d)."""
-    return orth_subspace(T, _scaling_family(S), space, rr)
+    T._check_compatible(S)
+    _check_independent(T, (np.eye(S.d)[:, :, None, None] * S.matrices).reshape(S.d, -1).T)
+    return _decide(_points(T, S, rr), rr, S.max_entry())
 
 
 def orth_subspace(
@@ -100,7 +103,7 @@ def orth_subspace(
 ) -> OrthResult:
     """Orthogonality of T to span(basis); one constraint per basis tuple."""
     T._check_compatible(V.basis[0])
-    _check_subspace_independent(T, V)
+    _check_independent(T, np.column_stack([S.matrices.ravel() for S in V.basis]))
     ref = max(S.max_entry() for S in V.basis)
     return _decide(_points(T, V, rr), rr, ref)
 
@@ -116,13 +119,14 @@ def verify_certificate(
     the residual max |points^T w| of that vector, as the certificate reports it.
 
     direction is the OperatorTuple S of orth_scalar or the TupleSubspace of
-    orth_subspace.  Orbit indices must be integers in range (bools are not).
+    orth_subspace, compatible with T.  Orbit indices must be integers in range (bools are not).
     """
     total = sum(t for _, t in cert.weights)
     if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # a NaN weight fails here
         raise InvalidCertificate(f"certificate weights sum to {total}, expected 1")
     if any(t <= 0 for _, t in cert.weights):
         raise InvalidCertificate("certificate weights must be strictly positive")
+    T._check_compatible(direction.basis[0] if isinstance(direction, TupleSubspace) else direction)
     points = _points(T, direction, rr)
     w = np.zeros(len(points))
     for j, t in cert.weights:

@@ -146,7 +146,7 @@ def norm_eval(space: SpaceDescriptor, v) -> float:
     """Norm of v in the space."""
     vec = space.as_vector(v)
     if isinstance(space.norm, Polyhedral):
-        return float(np.max(np.abs(extreme_points(space)[1] @ vec)))
+        return float(np.max(np.abs(admissible_pairs(space).dual @ vec)))
     return lp_norm(vec, space.norm.r)
 
 
@@ -154,7 +154,7 @@ def dual_norm_eval(space: SpaceDescriptor, u) -> float:
     """Norm of the functional u in the dual space."""
     vec = space.as_vector(u)
     if isinstance(space.norm, Polyhedral):
-        return float(np.max(np.abs(extreme_points(space)[0] @ vec)))
+        return float(np.max(np.abs(admissible_pairs(space).primal @ vec)))
     return lp_norm(vec, conjugate_exponent(space.norm.r))
 
 
@@ -301,7 +301,7 @@ def duality_map(space: SpaceDescriptor, x) -> list[NormingPair]:
     if space.is_smooth_lp:
         return [NormingPair(vec, smooth_duality_vector(vec, space.norm.r))]
     if isinstance(space.norm, Polyhedral) or space.field != REAL:
-        dual = extreme_points(space)[1]
+        dual = admissible_pairs(space).dual
     else:
         dual = _sign_vectors(space.dim) if space.norm.r == 1 else _signed_units(space.dim)
     active = dual[np.abs(dual @ vec - 1.0) <= ACTIVE_TOL]

@@ -29,7 +29,7 @@ from jointradius import (
     space_from_json,
     space_to_json,
 )
-from jointradius.spaces import DESCRIPTOR_TOL, _PAIR_TABLES, AdmissiblePairs, lp_norm, lp_norm_rows
+from jointradius.spaces import ACTIVE_TOL, DESCRIPTOR_TOL, _PAIR_TABLES, AdmissiblePairs, lp_norm, lp_norm_rows
 from conftest import hilbert, l1, linf, lr, near_duplicate_polygon, random_polygon_space
 
 
@@ -341,6 +341,24 @@ class TestPairTable:
         assert tables[0].primal is tables[1].primal is tables[2].primal
         T = OperatorTuple((np.array([[1.0, 2.0], [3.0, 4.0]]),))
         assert [radius(T, sp).value for sp in built] == [7.0] * 3
+
+    def test_polyhedral_norms_read_the_table(self, rng, monkeypatch):
+        # a fresh polygon value: its table is built by the first norm call and read by the rest
+        sp = random_polygon_space(rng, 40)
+        P, D = extreme_points(sp)
+        calls = []
+
+        def spy(space):
+            calls.append(space)
+            return extreme_points(space)
+
+        monkeypatch.setattr("jointradius.spaces.extreme_points", spy)
+        for v in rng.standard_normal((5, 2)):
+            assert norm_eval(sp, v) == float(np.max(np.abs(D @ v)))
+            assert dual_norm_eval(sp, v) == float(np.max(np.abs(P @ v)))
+        for v in P[:3]:
+            assert [pr.x_star.tolist() for pr in duality_map(sp, v)] == D[np.abs(D @ v - 1.0) <= ACTIVE_TOL].tolist()
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("entry", ["1.0", True, None, 1j])
     def test_polygon_entries_must_be_numbers(self, entry):
