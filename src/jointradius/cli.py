@@ -28,7 +28,7 @@ from .errors import (
 from .optuples import OperatorTuple, _entry_to_json, tuple_from_json
 from .oracle import audit
 from .orth import TupleSubspace, orth_scalar, orth_subspace
-from .radius import DEFAULT_STARTS, _check_dims, radius
+from .radius import DEFAULT_STARTS, _check_tuple, radius
 from .spaces import SpaceDescriptor, extreme_points, space_from_json
 from .subdiff import gateaux_one_sided, generators, smoothness
 
@@ -56,7 +56,7 @@ def parse(path: str, p_override: float | None = None) -> ProblemFile:
     if p_override is not None:
         tup_obj["p"] = p_override
     tup = tuple_from_json(tup_obj, field=space.field)
-    _check_dims(tup, space)
+    _check_tuple(tup, space)
     return ProblemFile(space, tup, raw)
 
 

@@ -81,15 +81,15 @@ class OperatorTuple:
 
 def pair_image(T: OperatorTuple, pair: NormingPair) -> np.ndarray:
     """Vector (x*(T_i x))_i of length d."""
-    x = np.asarray(pair.x)
-    if x.shape != (T.n,):
+    x, x_star = np.asarray(pair.x), np.asarray(pair.x_star)
+    if x.shape != (T.n,) or x_star.shape != (T.n,):
         raise DimensionMismatch("pair dimension does not match the tuple")
-    return (T.matrices @ x) @ np.asarray(pair.x_star).conj()  # a real array is its own conj(), no copy
+    return (T.matrices @ x) @ x_star.conj()  # a real array is its own conj(), no copy
 
 
 def pair_images(T: OperatorTuple, X: np.ndarray, XS: np.ndarray) -> np.ndarray:
     """(m, d) array of x_k*(T_i x_k) for the pairs (X[k], XS[k]), in one array pass."""
-    if X.shape[1:] != (T.n,):
+    if X.shape[1:] != (T.n,) or XS.shape != X.shape:
         raise DimensionMismatch("pair dimension does not match the tuple")
     return np.einsum("ijk,kj->ki", T.matrices @ X.T, np.conj(XS))
 

@@ -181,11 +181,6 @@ def orbit_dedup(pairs):
     return [pr for pr, keep in zip(pairs, founder) if keep]
 
 
-def _degenerate(value: float, T: OperatorTuple) -> bool:
-    surrogate = T.max_entry()
-    return surrogate > 0 and value <= 1e-12 * surrogate
-
-
 def _check_attain_tol(rel_tol: float) -> None:
     """Reject an attaining tolerance (relative to the best value) outside [0, 1).
 
@@ -195,10 +190,15 @@ def _check_attain_tol(rel_tol: float) -> None:
         raise ValueError(f"attaining tolerance must satisfy 0 <= tol < 1, got {rel_tol}")
 
 
-def _check_dims(T: OperatorTuple, space: SpaceDescriptor) -> None:
-    """Reject a tuple whose operators do not act on the space; both methods and `cli.parse` call this."""
+def _check_tuple(T: OperatorTuple, space: SpaceDescriptor) -> None:
+    """Reject a tuple that does not act on the space: another dimension, or complex on a real space.
+
+    Both methods and `cli.parse` call this before any solve.
+    """
     if T.n != space.dim:
         raise DimensionMismatch(f"space dimension {space.dim} does not match operator dimension {T.n}")
+    if T.field == COMPLEX and space.field != COMPLEX:
+        raise Unsupported("a real space requires a real tuple")
 
 
 def _check_multistart(starts: int, seed: int) -> None:
@@ -212,15 +212,16 @@ def _check_multistart(starts: int, seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-def _build_attaining(scored, exhaustive: bool, rel_tol: float):
-    """scored: list of (value, pair), already ordered deterministically."""
+def _result(scored, method: str, T: OperatorTuple, attain_tol: float) -> RadiusResult:
+    """The result of (value, pair) items in a fixed order: one `orbit_dedup` call groups the near-best pairs."""
     best = max(v for v, _ in scored)
-    cut = best - rel_tol * max(best, 0.0)
+    cut = best - attain_tol * max(best, 0.0)
     near = [(v, pr) for v, pr in scored if v >= cut]
-    reps = orbit_dedup([pr for _, pr in near])
     by_id = {id(pr): v for v, pr in near}
-    orbits = tuple(Orbit(rep, by_id[id(rep)]) for rep in reps)
-    return best, AttainingSet(orbits=orbits, exhaustive=exhaustive)
+    orbits = tuple(Orbit(rep, by_id[id(rep)]) for rep in orbit_dedup([pr for _, pr in near]))
+    attaining = AttainingSet(orbits=orbits, exhaustive=method == EXACT_ENUMERATION)
+    surrogate = T.max_entry()  # a value within 1e-12 max|T_ij| of zero, for a nonzero T, is degenerate
+    return RadiusResult(best, method, attaining, degenerate=surrogate > 0 and best <= 1e-12 * surrogate)
 
 
 def radius_exact(
@@ -229,7 +230,7 @@ def radius_exact(
     attain_tol: float = ATTAIN_TOL_EXACT,
 ) -> RadiusResult:
     """Exact radius by enumeration of admissible extreme pairs."""
-    _check_dims(T, space)
+    _check_tuple(T, space)
     _check_attain_tol(attain_tol)
     pairs = admissible_pairs(space)
     P, D = pairs.primal, pairs.dual
@@ -254,13 +255,7 @@ def radius_exact(
     slack = 16 * np.finfo(float).eps * (n * d * S + (d + 2) * best) + n * d * np.finfo(float).tiny
     window = np.flatnonzero(vals >= best - attain_tol * best - slack)
     scored = [(aggregate(T, pr), pr) for pr in pairs.at(window)]
-    value, attaining = _build_attaining(scored, True, attain_tol)
-    return RadiusResult(
-        value=value,
-        method=EXACT_ENUMERATION,
-        attaining=attaining,
-        degenerate=_degenerate(value, T),
-    )
+    return _result(scored, EXACT_ENUMERATION, T, attain_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +440,9 @@ def radius_smooth(
     default_rng([seed, k]).  The starts run in lockstep, in blocks of at
     most DEFAULT_STARTS rows, so memory does not grow with `starts`.
     """
-    _check_dims(T, space)
+    _check_tuple(T, space)
     if not space.is_smooth_lp:
         raise Unsupported("radius_smooth requires an l_r space with 1 < r < inf")
-    if T.field == COMPLEX and space.field != COMPLEX:
-        raise Unsupported("radius_smooth on a real space requires a real tuple")
     _check_multistart(starts, seed)
     _check_attain_tol(attain_tol)
     # the ascent's step cap and stop test are not scale-free, so it runs on
@@ -462,13 +455,7 @@ def radius_smooth(
         rngs = [np.random.default_rng([seed, k]) for k in range(lo, min(lo + DEFAULT_STARTS, starts))]
         values, X, _ = _ascend_all(unit, space, np.array([random_unit_vector(space, g) for g in rngs]), rngs)
         scored += [(m * v, NormingPair(x, smooth_duality_vector(x, r))) for v, x in zip(values.tolist(), X)]
-    value, attaining = _build_attaining(scored, False, attain_tol)
-    return RadiusResult(
-        value=value,
-        method=MULTI_START,
-        attaining=attaining,
-        degenerate=_degenerate(value, T),
-    )
+    return _result(scored, MULTI_START, T, attain_tol)
 
 
 def radius(

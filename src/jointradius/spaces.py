@@ -116,9 +116,17 @@ class SpaceDescriptor:
         return isinstance(self.norm, LpNorm) and 1 < self.norm.r < math.inf
 
     def as_vector(self, v) -> np.ndarray:
-        out = np.asarray(v, dtype=complex if self.field == COMPLEX else float)
+        """v as a vector of the space; InvalidDescriptor unless it is finite, and real on a real space."""
+        out = np.asarray(v)
         if out.shape != (self.dim,):
             raise DimensionMismatch(f"expected vector of length {self.dim}, got shape {out.shape}")
+        if self.field == REAL and out.dtype.kind == "c":
+            if np.any(out.imag != 0):
+                raise InvalidDescriptor("complex entries in a real-field vector")
+            out = out.real
+        out = out.astype(complex if self.field == COMPLEX else float, copy=False)
+        if not np.isfinite(out).all():
+            raise InvalidDescriptor("vector entries must be finite")
         return out
 
 

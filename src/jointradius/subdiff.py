@@ -120,15 +120,13 @@ def smoothness(T: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult) -> Sm
     otherwise (two orbits whose values are not separated enough to trust).
     """
     _require_positive(rr)
-    orbits = rr.attaining.orbits
-    if rr.exhaustive:
-        verdict = SMOOTH if len(orbits) == 1 else NOT_SMOOTH
+    values = [o.value for o in rr.attaining.orbits]
+    if len(values) == 1:
+        verdict = SMOOTH
+    elif rr.exhaustive or max(values) - min(values) <= VALUE_WINDOW * rr.value:
+        verdict = NOT_SMOOTH
     else:
-        if len(orbits) == 1:
-            verdict = SMOOTH
-        else:
-            spread = max(o.value for o in orbits) - min(o.value for o in orbits)
-            verdict = NOT_SMOOTH if spread <= VALUE_WINDOW * rr.value else INCONCLUSIVE
+        verdict = INCONCLUSIVE
     gen = generators(T, space, rr)[0] if verdict == SMOOTH else None
     return SmoothnessReport(verdict=verdict, exhaustive=rr.exhaustive, generator=gen)
 

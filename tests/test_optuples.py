@@ -123,6 +123,15 @@ class TestPairImage:
         with pytest.raises(DimensionMismatch):
             pair_image(single(np.eye(2)), _pair([1.0, 0.0, 0.0]))
 
+    def test_functional_dimension_mismatch(self):
+        # a length-3 x_star against n = 2: the library's error, not numpy's matmul or broadcasting ValueError
+        pair = _pair([1.0, 0.0], [1.0, 0.0, 0.0])
+        T = single(np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            aggregate(T, pair)
+        with pytest.raises(DimensionMismatch):
+            subdiff_coefficients(T, pair, w=1.0)
+
 
 class TestAggregate:
     def test_two_identities(self):

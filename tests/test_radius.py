@@ -27,14 +27,15 @@ from jointradius import (
 )
 from jointradius.radius import (
     DEFAULT_STARTS,
+    EXACT_ENUMERATION,
     MAX_ITER,
     ORBIT_TOL,
     _ascend,
     _ascend_all,
-    _build_attaining,
     _gradient,
     _objective,
     _orbit_keys,
+    _result,
 )
 from jointradius.spaces import (
     _gaussian,
@@ -98,7 +99,7 @@ class TestRadiusExact:
 def _all_pairs_exact(T, space, attain_tol):
     """radius_exact's answer with every admissible pair scored by `aggregate`."""
     scored = [(aggregate(T, pr), pr) for pr in admissible_pairs(space)]
-    return _build_attaining(scored, True, attain_tol)
+    return _result(scored, EXACT_ENUMERATION, T, attain_tol)
 
 
 def _orbit_bytes(attaining):
@@ -147,9 +148,9 @@ class TestWindowedScoring:
             for mats in _window_tuples(kind, sp.dim, rng):
                 T = OperatorTuple(c * mats, p=(1.3, 2.0, 7.0)[k % 3])
                 rr = radius_exact(T, sp, attain_tol=tol)
-                value, attaining = _all_pairs_exact(T, sp, tol)
-                assert rr.value == value
-                assert _orbit_bytes(rr.attaining) == _orbit_bytes(attaining)
+                ref = _all_pairs_exact(T, sp, tol)
+                assert rr.value == ref.value
+                assert _orbit_bytes(rr.attaining) == _orbit_bytes(ref.attaining)
 
     def test_generic_tuple_rescores_one_orbit(self, rng, monkeypatch):
         calls = _count_aggregate(monkeypatch)
@@ -678,6 +679,20 @@ class TestDimensionMismatch:
         for space in (hilbert(2, REAL), linf(2)):
             with pytest.raises(DimensionMismatch):
                 radius(self.T, space)
+
+
+class TestComplexTupleOnRealSpace:
+    def test_rejected_before_any_pair_is_enumerated(self, monkeypatch, rng):
+        def enumerate_(*args, **kwargs):
+            raise AssertionError("pairs were enumerated before the field check")
+
+        spaces = (linf(2), l1(3), random_polygon_space(rng))
+        monkeypatch.setattr(sys.modules["jointradius.radius"], "admissible_pairs", enumerate_)
+        for space in spaces:
+            T = single(np.diag([1j] + [0.0] * (space.dim - 1)), field=COMPLEX)
+            for solve in (radius, radius_exact):
+                with pytest.raises(Unsupported, match="requires a real tuple"):
+                    solve(T, space)
 
 
 class TestLargeExponent:

@@ -56,6 +56,36 @@ class TestNormEval:
             norm_eval(lr(2, 2.0), [1.0, 2.0, 3.0])
 
 
+_GATE_SPACES = [hilbert(2, REAL), hilbert(2, COMPLEX), linf(2), l1(2)]
+
+
+class TestVectorGate:
+    """Every vector entry point reads its input through `SpaceDescriptor.as_vector`."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("space", _GATE_SPACES, ids=["real-l2", "complex-l2", "linf", "l1"])
+    def test_non_finite_entries(self, space, bad):
+        # no tolerance test catches a NaN: |nan - 1| > tol is false
+        for fn in (norm_eval, dual_norm_eval, duality_map):
+            with pytest.raises(InvalidDescriptor, match="finite"):
+                fn(space, [bad, 0.0])
+
+    def test_nan_pair_fails_validation(self):
+        # each of validate's three tolerance tests is false on a NaN
+        with pytest.raises(InvalidDescriptor, match="finite"):
+            NormingPair(np.array([math.nan, 0.0]), np.array([math.nan, 0.0])).validate(hilbert(2, REAL))
+
+    def test_complex_entries_on_a_real_space(self):
+        # a cast to float would drop the imaginary part and report 3.0
+        for fn in (norm_eval, dual_norm_eval, duality_map):
+            with pytest.raises(InvalidDescriptor, match="complex entries in a real-field vector"):
+                fn(hilbert(2, REAL), [3 + 4j, 0.0])
+
+    def test_complex_dtype_with_zero_imaginary_part(self):
+        assert norm_eval(hilbert(2, REAL), np.array([3 + 0j, 4.0])) == 5.0
+        assert norm_eval(linf(2), [1, -2]) == 2.0
+
+
 def _numpy_lp_norm(z, p):
     """lp_norm with numpy's reductions at every length."""
     a = np.abs(z)
