@@ -83,8 +83,7 @@ def _section(problem: ProblemFile, section: str, flag_path: str | None):
 def _aux_tuple(problem: ProblemFile, section: str, flag_path: str | None) -> OperatorTuple:
     obj = _section(problem, section, flag_path)
     S = tuple_from_json(obj, field=problem.space.field, default_p=problem.tuple.p)
-    if (S.d, S.n, S.p) != (problem.tuple.d, problem.tuple.n, problem.tuple.p):
-        raise JointRadiusError(f"'{section}' tuple does not match the problem tuple shape")
+    problem.tuple._check_compatible(S)
     return S
 
 

@@ -46,7 +46,6 @@ from .spaces import (
     _signed_power,
     admissible_pairs,
     lp_norm_rows,
-    lp_power_sums,
     random_unit_vector,
     smooth_duality_vector,
 )
@@ -237,10 +236,7 @@ def radius_exact(
     if T.d * len(D) * len(P) > ENTRY_BUDGET:  # W, refused before it is formed; its gather is no larger
         raise Unsupported(f"the {T.d} x {len(D)} x {len(P)} scores exceed the entry budget {ENTRY_BUDGET}")
     W = D @ T.matrices @ P.T  # W[i, j, k] = d_j(T_i p_k); the extremes are real
-    scales, sums = lp_power_sums(W[:, pairs.cols, pairs.rows].T, T.p)
-    # numpy's vectorised root, which is faster on thousands of pairs than
-    # lp_norm_rows' C-library root; the slack below covers its rounding
-    vals = scales * sums ** (1.0 / T.p)
+    vals = lp_norm_rows(W[:, pairs.cols, pairs.rows].T, T.p)
     # Both this pass and aggregate form z_i = x*(T_i x) from two length-n dot
     # products, in different orders, so each is within 2 n eps S of the exact
     # z_i (sqrt(2) more for complex T), with S = n^2 max|T| max|P| max|D|.

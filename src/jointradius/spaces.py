@@ -89,6 +89,9 @@ class SpaceDescriptor:
             P, D = extreme_points(self)
         except ValueError as exc:
             raise InvalidDescriptor("extreme points must be numeric vectors of one length") from exc
+        # the largest array below is N x N x dim, N the longer list; refused before any is built
+        if max(len(P), len(D)) ** 2 * self.dim > ENTRY_BUDGET:
+            raise Unsupported(f"{len(P)} x {len(D)} extremes in dim {self.dim} exceed the entry budget {ENTRY_BUDGET}")
         for E, name in ((P, "primal"), (D, "dual")):
             if E.ndim != 2 or E.shape[1] != self.dim:
                 raise InvalidDescriptor(f"{name} extreme of wrong dimension")
@@ -102,14 +105,20 @@ class SpaceDescriptor:
             near = np.linalg.norm(E[:, None, :] - E[None, :, :], axis=2) <= ORBIT_TOL
             if np.count_nonzero(near) > len(E):
                 raise InvalidDescriptor(f"two {name} extremes lie within {ORBIT_TOL} of each other")
-        G = np.abs(D @ P.T)  # |<u, v>| for every (u, v)
-        if np.max(np.abs(G.max(axis=0) - 1.0)) > DESCRIPTOR_TOL:
+        G = P @ D.T  # <v, u> for every (v, u), as `admissible_pairs` forms it
+        if np.max(np.abs(np.abs(G).max(axis=1) - 1.0)) > DESCRIPTOR_TOL:
             raise InvalidDescriptor("primal extremes are not unit vectors of the polyhedral norm")
-        if np.max(np.abs(G.max(axis=1) - 1.0)) > DESCRIPTOR_TOL:
+        if np.max(np.abs(np.abs(G).max(axis=0) - 1.0)) > DESCRIPTOR_TOL:
             raise InvalidDescriptor("dual extremes are not unit vectors of the dual norm")
-        # a degenerate (lower-dimensional) ball does not define a norm
-        if np.linalg.matrix_rank(P, tol=1e-9) < self.dim or np.linalg.matrix_rank(D, tol=1e-9) < self.dim:
-            raise InvalidDescriptor("extreme points do not span the space")
+        # a vertex lies on dim independent facets: its admissible partners span the space (so both lists do)
+        admissible = np.abs(G - 1.0) <= DESCRIPTOR_TOL
+        for E, F, mask, name in ((P, D, admissible, "primal"), (D, P, admissible.T, "dual")):
+            rank = np.linalg.matrix_rank(mask[:, :, None] * F, tol=1e-9)
+            if np.any(rank < self.dim):
+                k = int(np.argmax(rank < self.dim))
+                raise InvalidDescriptor(
+                    f"{name} extreme {E[k].tolist()} is not a vertex: its admissible partners do not span the space"
+                )
 
     @property
     def is_smooth_lp(self) -> bool:
@@ -189,16 +198,23 @@ def lp_norm(z: np.ndarray, p: float) -> float:
     return m * total ** (1.0 / p)
 
 
-def lp_power_sums(Z: np.ndarray, p: float):
-    """Row scales m = max |z_i| and sums sum_i (|z_i| / m)^p of the finite 2-D array Z.
+def lp_norm_rows(Z: np.ndarray, p: float) -> np.ndarray:
+    """l_p norm of each row of the finite 2-D array Z, with the floats `lp_norm` gives the row alone.
 
-    The l_p norm of a row is m * sum^(1/p).  Dividing by m first keeps
-    |z_i|^p inside the floating-point range for any scale of z and any
-    p >= 1.  A zero row has the scale 5e-324 and the sum 0, so norm 0.  Rows
-    shorter than 8 are summed on a column-major copy, which adds whole
-    columns at once, left to right, as numpy sums so few entries; longer
-    rows are summed in place, by numpy's pairwise sum of each row.
+    Dividing each row by its scale m = max |z_i| first keeps |z_i|^p inside
+    the floating-point range for any scale of z and any p >= 1; a zero row
+    has the scale 5e-324 and the sum 0, so norm 0.  Rows shorter than 8 are
+    summed on a column-major copy, which adds whole columns at once, left to
+    right, as numpy sums so few entries; longer rows are summed in place, by
+    numpy's pairwise sum of each row.  The root is taken with np.float_power,
+    which calls the C library's pow as Python's float ** float does.  numpy's
+    ** on a float array may use a vectorised pow instead, which rounds
+    differently on about 5 % of inputs on AVX-512 hosts.  A one-column row's
+    norm is |z|: the general path gives m * 1^(1/p) = |z| exactly, as
+    (|z| / |z|)^p = 1.
     """
+    if Z.shape[1] == 1:
+        return np.abs(Z[:, 0])
     A = np.abs(Z)
     short = A.shape[1] < 8
     if short:
@@ -207,22 +223,7 @@ def lp_power_sums(Z: np.ndarray, p: float):
     np.maximum(m, 5e-324, out=m)  # the least subnormal: only a zero row is raised
     A /= m if short else m[:, None]
     A **= p
-    return m, A.sum(axis=0 if short else 1)
-
-
-def lp_norm_rows(Z: np.ndarray, p: float) -> np.ndarray:
-    """l_p norm of each row of the finite 2-D array Z, with the floats `lp_norm` gives the row alone.
-
-    The root is taken with np.float_power, which calls the C library's pow
-    as Python's float ** float does.  numpy's ** on a float array may use a
-    vectorised pow instead, which rounds differently on about 5 % of inputs
-    on AVX-512 hosts.  A one-column row's norm is |z|: the general path
-    gives m * 1^(1/p) = |z| exactly, as (|z| / |z|)^p = 1.
-    """
-    if Z.shape[1] == 1:
-        return np.abs(Z[:, 0])
-    m, sums = lp_power_sums(Z, p)
-    return m * np.float_power(sums, 1.0 / p)
+    return m * np.float_power(A.sum(axis=0 if short else 1), 1.0 / p)
 
 
 def _signed_power(z: np.ndarray, e: float) -> np.ndarray:
@@ -365,8 +366,6 @@ def admissible_pairs(space: SpaceDescriptor) -> AdmissiblePairs:
     if table is None:
         primal, dual = extreme_points(space)
         rows, cols = np.nonzero(np.abs(primal @ dual.T - 1.0) <= DESCRIPTOR_TOL)
-        if len(rows) == 0:
-            raise InvalidDescriptor("no admissible pairs: inconsistent descriptor")
         table = _PAIR_TABLES[space] = (primal, dual, rows, cols)
         for a in table:
             a.setflags(write=False)

@@ -417,6 +417,18 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error: two primal extremes") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("k", [4, 6], ids=["units", "hexagon"])
+    def test_polyhedral_extremes_that_are_not_vertices(self, capsys, tmp_path, k):
+        # on the units as P = D the radius of [[0.5, 1], [1, 0]] would read 0.5; on l_inf it is 1.5
+        ring = [[math.cos(2 * math.pi * j / k), math.sin(2 * math.pi * j / k)] for j in range(k)]
+        norm = {"kind": "polyhedral", "primal_extremes": ring, "dual_extremes": ring}
+        space = {"field": "real", "dim": 2, "norm": norm}
+        path = write_problem(tmp_path, {"space": space, "tuple": {"matrices": [[[0.5, 1], [1, 0]]]}})
+        code, out, err = run(capsys, "radius", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: primal extreme") and "not a vertex" in err and err.count("\n") == 1
+
     def test_extremes_over_the_entry_budget(self, capsys, tmp_path):
         space = {"field": "real", "dim": 19, "norm": {"kind": "lp", "r": "inf"}}
         path = write_problem(tmp_path, {"space": space, "tuple": {"matrices": [[[0] * 19] * 19]}})
@@ -469,6 +481,13 @@ class TestErrorPaths:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_direction_with_another_p(self, capsys, tmp_path):
+        direction = write_problem(tmp_path, {"d": 1, "p": 3, "matrices": [[[1, 0], [0, 0]]]}, "dir.json")
+        code, out, err = run(capsys, "gateaux", prob("linf2_exact.json"), "--direction", direction)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: tuples do not share") and err.count("\n") == 1
 
     def test_gateaux_without_direction(self, capsys):
         code, _, _ = run(capsys, "gateaux", prob("linf2_exact.json"))

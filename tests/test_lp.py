@@ -106,6 +106,10 @@ class TestValidation:
         with pytest.raises(DimensionMismatch):
             HullProblem(points=[(1.0, 0.0)], target=(1.0, 0.0, 0.0))
 
+    def test_no_points(self):
+        with pytest.raises(DimensionMismatch, match="at least one point"):
+            HullProblem(points=np.empty((0, 2)), target=(0.0, 0.0))
+
 
 
 class TestHypothesis:

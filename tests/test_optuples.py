@@ -242,6 +242,16 @@ class TestTupleCombine:
         np.testing.assert_allclose(out.matrices[0], 2 * T.matrices[0])
         np.testing.assert_allclose(out.matrices[1], np.zeros((2, 2)))
 
+    def test_lambda_of_wrong_length(self):
+        T = OperatorTuple((np.diag([1.0, 2.0]), np.eye(2)), p=2.0)
+        with pytest.raises(DimensionMismatch, match="lambda must have length d=2"):
+            tuple_combine(T, T, [1.0])
+
+    def test_complex_lambda_on_a_real_tuple(self):
+        T = single(np.diag([1.0, 2.0]))
+        with pytest.raises(InvalidDescriptor, match="complex scalings"):
+            tuple_combine(T, T, [1j])
+
 
 class TestJson:
     def test_real_roundtrip(self):
@@ -255,6 +265,11 @@ class TestJson:
         T = OperatorTuple((np.array([[1 + 2j, 0], [0, -1j]]),), p=2.0, field=COMPLEX)
         back = tuple_from_json(tuple_to_json(T), field=COMPLEX)
         np.testing.assert_array_equal(back.matrices[0], T.matrices[0])
+
+    @pytest.mark.parametrize("entry", [[1.0, 2.0, 3.0], [1.0]])
+    def test_complex_entry_must_be_a_pair(self, entry):
+        with pytest.raises(InvalidDescriptor, match=r"\[re, im\] pairs"):
+            tuple_from_json({"matrices": [[[entry]]]}, field=COMPLEX)
 
     def test_default_p(self):
         T = tuple_from_json({"matrices": [[[1, 0], [0, 1]]]}, field=REAL)

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,18 @@ class TestVectorGate:
     def test_complex_dtype_with_zero_imaginary_part(self):
         assert norm_eval(hilbert(2, REAL), np.array([3 + 0j, 4.0])) == 5.0
         assert norm_eval(linf(2), [1, -2]) == 2.0
+
+    @pytest.mark.parametrize(
+        "x, x_star, message",
+        [
+            ([2.0, 0.0], [1.0, 0.0], "x is not a unit vector"),
+            ([1.0, 0.0], [2.0, 0.0], "x_star is not a unit dual vector"),
+            ([1.0, 0.0], [0.0, 1.0], r"x_star\(x\) != 1"),
+        ],
+    )
+    def test_pair_validation_refusals(self, x, x_star, message):
+        with pytest.raises(InvalidDescriptor, match=message):
+            NormingPair(np.array(x), np.array(x_star)).validate(linf(2))
 
 
 def _numpy_lp_norm(z, p):
@@ -197,6 +210,12 @@ class TestDualityMap:
         active = dual[np.abs(dual @ x - 1.0) <= 1e-10]
         stars = np.array([pr.x_star for pr in duality_map(sp, x)])
         assert stars.tobytes() == active.tobytes()
+
+    @pytest.mark.parametrize("make, n", [(linf, 2897), (l1, 20)], ids=["linf-units", "l1-signs"])
+    def test_dual_extremes_over_the_entry_budget(self, make, n):
+        # the 2n units of l_inf(2897) and the 2^n sign vectors of l_1(20) each exceed 2^24 entries
+        with pytest.raises(Unsupported, match="budget"):
+            duality_map(make(n), np.eye(n)[0])
 
     def test_linf_beyond_the_pair_budget(self):
         # l_inf(24) has 24 * 2^25 extreme pairs; the duality map needs only its 48 units
@@ -470,6 +489,11 @@ class TestDescriptorConstruction:
         assert norm_eval(SpaceDescriptor(REAL, 2, LpNorm(np.float64(1.0))), [3.0, -4.0]) == 7.0
 
 
+_CROSS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+_SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+_HEXAGON = np.array([[np.cos(k * np.pi / 3), np.sin(k * np.pi / 3)] for k in range(6)])
+
+
 class TestPolyhedralDescriptor:
     def test_random_polygon_validates(self, rng):
         for _ in range(5):
@@ -525,6 +549,44 @@ class TestPolyhedralDescriptor:
         with pytest.raises(InvalidDescriptor, match=f"two {side} extremes lie within"):
             SpaceDescriptor(field=REAL, dim=2, norm=Polyhedral(prim, dual))
         SpaceDescriptor(field=REAL, dim=2, norm=Polyhedral(*near_duplicate_polygon(1e-3)))
+
+    @pytest.mark.parametrize(
+        "prim, dual, message",
+        [
+            (2 * _CROSS, _CROSS, "primal extremes are not unit vectors"),
+            (_CROSS, np.vstack([_CROSS, [[0.5, 0.5], [-0.5, -0.5]]]), "dual extremes are not unit vectors"),
+        ],
+        ids=["primal", "dual"],
+    )
+    def test_unit_vectors_required(self, prim, dual, message):
+        with pytest.raises(InvalidDescriptor, match=message):
+            SpaceDescriptor(field=REAL, dim=2, norm=Polyhedral(prim, dual))
+
+    @pytest.mark.parametrize("extremes", [_CROSS, _HEXAGON], ids=["units", "hexagon"])
+    def test_extremes_must_be_vertices(self, extremes):
+        # max |u(x)| over the units is the l_inf norm, whose vertices are the sign vectors; each
+        # unit, and each hexagon vertex, is its own only admissible partner
+        with pytest.raises(InvalidDescriptor, match="primal extreme .* is not a vertex"):
+            SpaceDescriptor(field=REAL, dim=2, norm=Polyhedral(extremes, extremes))
+
+    def test_dual_extremes_must_be_vertices(self):
+        # +-(1/2, 1/2) are unit vectors of the dual (l_1) norm, but (1, 1) is their only admissible partner
+        dual = np.vstack([_CROSS, [[0.5, 0.5], [-0.5, -0.5]]])
+        with pytest.raises(InvalidDescriptor, match=r"dual extreme \[0.5, 0.5\] is not a vertex"):
+            SpaceDescriptor(field=REAL, dim=2, norm=Polyhedral(_SQUARE, dual))
+
+    def test_validation_arrays_within_the_entry_budget(self):
+        # 2898^2 x 2 entries exceed 2^24: refused before any N x N array (134 MB) is built
+        t = np.arange(2898) * (2 * np.pi / 2898)
+        ring = np.column_stack([np.cos(t), np.sin(t)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(Unsupported, match="budget"):
+                SpaceDescriptor(field=REAL, dim=2, norm=Polyhedral(ring, ring))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_negation_closure_required(self):
         with pytest.raises(InvalidDescriptor):
