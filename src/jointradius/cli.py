@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Reads a problem file (space + tuple, plus optional direction/against/
-subspace sections), dispatches to the solvers, and writes machine-readable
-JSON to standard output.  Diagnostics go to standard error.  Exit codes:
-0 success, 1 usage, I/O or schema errors or numbers out of range in the
-input (OverflowError, e.g. an integer literal past the float range),
-2 mathematical errors (zero radius, dependent direction).
+Parses a problem file (space + tuple), reads and checks the command's
+second input (direction, subspace or against tuple), solves once, and
+writes the command's answer as JSON to standard output.  Diagnostics go to
+standard error.  Exit codes: 0 success, 1 usage, I/O or schema errors or
+numbers out of range in the input (OverflowError, e.g. an integer literal
+past the float range), 2 mathematical errors (zero radius, dependent direction).
 """
 
 from __future__ import annotations
@@ -80,11 +80,26 @@ def _section(problem: ProblemFile, section: str, flag_path: str | None):
     return obj
 
 
-def _aux_tuple(problem: ProblemFile, section: str, flag_path: str | None) -> OperatorTuple:
-    obj = _section(problem, section, flag_path)
+def _compatible_tuple(problem: ProblemFile, obj) -> OperatorTuple:
     S = tuple_from_json(obj, field=problem.space.field, default_p=problem.tuple.p)
     problem.tuple._check_compatible(S)
     return S
+
+
+def _second_input(problem: ProblemFile, args):
+    """gateaux's direction, orth's subspace (else its against tuple), each checked against T;
+    None for the other commands."""
+    if args.command == "gateaux":
+        return _compatible_tuple(problem, _section(problem, "direction", args.direction))
+    if args.command != "orth":
+        return None
+    if args.subspace is None and "subspace" not in problem.raw:
+        return _compatible_tuple(problem, _section(problem, "against", args.against))
+    obj = _section(problem, "subspace", args.subspace)
+    items = obj.get("basis") if isinstance(obj, dict) else obj
+    if not isinstance(items, list):
+        raise InvalidDescriptor("'subspace' must be a list of tuples or an object with a 'basis' list")
+    return TupleSubspace(tuple(_compatible_tuple(problem, it) for it in items))
 
 
 def _vector_json(v, field: str):
@@ -106,13 +121,6 @@ def _orbits_json(rr, field):
     ]
 
 
-def _radius(problem: ProblemFile, args):
-    """radius() with the multi-start and attaining-tolerance flags."""
-    return radius(
-        problem.tuple, problem.space, starts=args.starts, seed=args.seed, attain_tol=args.tol
-    )
-
-
 def _emit(obj, pretty: bool) -> None:
     layout = {"indent": 2} if pretty else {"separators": (",", ":")}
     try:
@@ -122,8 +130,7 @@ def _emit(obj, pretty: bool) -> None:
     print(text)
 
 
-def _cmd_radius(problem, args):
-    rr = _radius(problem, args)
+def _cmd_radius(problem, args, rr, aux):
     return {
         "value": float(rr.value),
         "method": rr.method,
@@ -133,8 +140,7 @@ def _cmd_radius(problem, args):
     }
 
 
-def _cmd_subdiff(problem, args):
-    rr = _radius(problem, args)
+def _cmd_subdiff(problem, args, rr, aux):
     gens = generators(problem.tuple, problem.space, rr)
     return {
         "value": float(rr.value),
@@ -143,9 +149,7 @@ def _cmd_subdiff(problem, args):
     }
 
 
-def _cmd_gateaux(problem, args):
-    S = _aux_tuple(problem, "direction", args.direction)
-    rr = _radius(problem, args)
+def _cmd_gateaux(problem, args, rr, S):
     rep = gateaux_one_sided(problem.tuple, S, problem.space, rr)
     return {
         "g_plus": rep.g_plus,
@@ -155,8 +159,7 @@ def _cmd_gateaux(problem, args):
     }
 
 
-def _cmd_smooth(problem, args):
-    rr = _radius(problem, args)
+def _cmd_smooth(problem, args, rr, aux):
     rep = smoothness(problem.tuple, problem.space, rr)
     out = {"smooth": rep.verdict, "exhaustive": rep.exhaustive}
     if rep.generator is not None:
@@ -164,18 +167,9 @@ def _cmd_smooth(problem, args):
     return out
 
 
-def _cmd_orth(problem, args):
-    rr = _radius(problem, args)
-    if args.subspace is not None or "subspace" in problem.raw:
-        obj = _section(problem, "subspace", args.subspace)
-        items = obj.get("basis") if isinstance(obj, dict) else obj
-        if not isinstance(items, list):
-            raise InvalidDescriptor("'subspace' must be a list of tuples or an object with a 'basis' list")
-        basis = tuple(tuple_from_json(it, problem.space.field, problem.tuple.p) for it in items)
-        res = orth_subspace(problem.tuple, TupleSubspace(basis), problem.space, rr)
-    else:
-        S = _aux_tuple(problem, "against", args.against)
-        res = orth_scalar(problem.tuple, S, problem.space, rr)
+def _cmd_orth(problem, args, rr, direction):
+    orth = orth_subspace if isinstance(direction, TupleSubspace) else orth_scalar
+    res = orth(problem.tuple, direction, problem.space, rr)
     out = {"orthogonal": res.orthogonal, "approximate": res.approximate}
     if res.certificate is not None:
         out["certificate"] = {
@@ -189,7 +183,7 @@ def _cmd_orth(problem, args):
     return out
 
 
-def _cmd_extremes(problem, args):
+def _cmd_extremes(problem, args, rr, aux):
     if problem.space.is_smooth_lp:
         return {"unbounded": True}
     primal, dual = extreme_points(problem.space)
@@ -200,8 +194,7 @@ def _cmd_extremes(problem, args):
     }
 
 
-def _cmd_verify(problem, args):
-    rr = _radius(problem, args)
+def _cmd_verify(problem, args, rr, aux):
     gens = generators(problem.tuple, problem.space, rr) if rr.value > 0 and not rr.degenerate else []
     report = audit(
         problem.tuple, problem.space, rr, gens, seed=args.seed, starts=args.starts, samples=args.samples
@@ -265,7 +258,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         problem = parse(args.input, p_override=args.p)
-        _emit(COMMANDS[args.command](problem, args), args.pretty)
+        aux = _second_input(problem, args)
+        rr = None
+        if args.command != "extremes":  # the extreme points need no radius
+            rr = radius(problem.tuple, problem.space, starts=args.starts, seed=args.seed, attain_tol=args.tol)
+        _emit(COMMANDS[args.command](problem, args, rr, aux), args.pretty)
     except MATH_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

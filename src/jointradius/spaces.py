@@ -59,7 +59,10 @@ class Polyhedral:
 
     def __post_init__(self):
         for key in ("primal_extremes", "dual_extremes"):
-            extremes = tuple(tuple(_number(c, f"{key} entry") for c in v) for v in getattr(self, key))
+            try:
+                extremes = tuple(tuple(_number(c, f"{key} entry") for c in v) for v in getattr(self, key))
+            except TypeError as exc:  # the list, or one of its extremes, is not a sequence
+                raise InvalidDescriptor(f"{key} must be a list of numeric vectors") from exc
             object.__setattr__(self, key, extremes)
 
 
@@ -118,6 +121,18 @@ class SpaceDescriptor:
                 k = int(np.argmax(rank < self.dim))
                 raise InvalidDescriptor(
                     f"{name} extreme {E[k].tolist()} is not a vertex: its admissible partners do not span the space"
+                )
+        if self.dim == 3:
+            # a facet is a polygon with as many edges as vertices, and two facets share two or more
+            # vertices only along an edge, which lies on exactly one other facet: a missing facet
+            # (or vertex) leaves its neighbours short
+            shared = admissible.T.astype(np.int64) @ admissible  # common primal partners of two dual extremes
+            short = (shared >= 2).sum(axis=1) - 1 != np.diag(shared)
+            if np.any(short):
+                k = int(np.argmax(short))
+                raise InvalidDescriptor(
+                    f"dual extreme {D[k].tolist()} has {shared[k, k]} admissible partners but not as many"
+                    " neighbouring facets: an extreme of either list is missing"
                 )
 
     @property

@@ -64,6 +64,32 @@ def random_polygon_space(rng: np.random.Generator, vertices: int = 4) -> SpaceDe
         )
 
 
+def random_polytope(rng: np.random.Generator) -> tuple:
+    """(primal, dual) extremes of a random centrally symmetric 3-polytope with integer vertices.
+
+    The dual extremes are the facet functionals: for each triangle of the
+    hull, the u with <u, a> = <u, b> = <u, c> = 1 (coplanar triangles give
+    one u).
+    """
+    while True:
+        pts = rng.integers(-4, 5, (rng.integers(3, 7), 3)).astype(float)
+        pts = np.vstack([pts, -pts])
+        if np.linalg.matrix_rank(pts) == 3:
+            break
+    hull = ConvexHull(pts)
+    U = []
+    for simplex in hull.simplices:
+        u = np.linalg.solve(pts[simplex], np.ones(3))
+        if not any(np.allclose(u, w, rtol=0, atol=1e-9) for w in U):
+            U.append(u)
+    return pts[hull.vertices], np.array(U)
+
+
+def without_pair(E: np.ndarray, k: int) -> np.ndarray:
+    """The rows of E other than +-E[k]."""
+    return E[[not (np.allclose(e, E[k]) or np.allclose(e, -E[k])) for e in E]]
+
+
 def near_duplicate_polygon(eps: float = 1e-7):
     """(primal, dual) extremes of the hexagon +-(1, 1 - eps), +-(1 - eps, 1), +-(-1, 1).
 

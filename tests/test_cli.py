@@ -291,6 +291,7 @@ def _malformed(space=None, norm=None, tuple_=None, **top):
     return {"space": sp, "tuple": tup, **top}
 
 
+_OTHER_P = {"d": 1, "p": 3, "matrices": [[[1, 0], [0, 0]]]}
 SQUARE = {"kind": "polyhedral", "dual_extremes": [[1, 0], [-1, 0], [0, 1], [0, -1]]}
 MALFORMED = {
     "r-null": _malformed(norm={"r": None}),
@@ -307,6 +308,19 @@ MALFORMED = {
 }
 
 
+@pytest.fixture
+def no_solve(monkeypatch):
+    """The calls to `cli.radius`, each of which fails the test."""
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("radius called before the second input was checked")
+
+    monkeypatch.setattr(cli, "radius", refuse)
+    return calls
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize("name", MALFORMED)
     def test_malformed_field_is_one_error_line(self, capsys, tmp_path, name):
@@ -316,12 +330,13 @@ class TestErrorPaths:
         assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("subspace", [5, {"basis": 5}, {"tuples": []}])
-    def test_malformed_subspace_is_one_error_line(self, capsys, tmp_path, subspace):
+    def test_malformed_subspace_is_one_error_line(self, capsys, tmp_path, no_solve, subspace):
         path = write_problem(tmp_path, _malformed(subspace=subspace))
         code, out, err = run(capsys, "orth", path)
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert no_solve == []
 
     def test_number_out_of_range_is_one_error_line(self, capsys, tmp_path):
         # JSON 1e999 parses as inf, which is not an integer
@@ -438,7 +453,7 @@ class TestErrorPaths:
         assert "budget" in err and err.startswith("error:") and err.count("\n") == 1
 
     def test_non_finite_output_is_one_error_line(self, capsys, monkeypatch):
-        monkeypatch.setitem(cli.COMMANDS, "radius", lambda problem, args: {"value": math.inf})
+        monkeypatch.setitem(cli.COMMANDS, "radius", lambda problem, args, rr, aux: {"value": math.inf})
         code, out, err = run(capsys, "radius", prob("linf2_exact.json"))
         assert code == 1
         assert out == ""
@@ -482,16 +497,31 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_direction_with_another_p(self, capsys, tmp_path):
-        direction = write_problem(tmp_path, {"d": 1, "p": 3, "matrices": [[[1, 0], [0, 0]]]}, "dir.json")
+    def test_direction_with_another_p(self, capsys, tmp_path, no_solve):
+        direction = write_problem(tmp_path, _OTHER_P, "dir.json")
         code, out, err = run(capsys, "gateaux", prob("linf2_exact.json"), "--direction", direction)
         assert code == 1
         assert out == ""
         assert err.startswith("error: tuples do not share") and err.count("\n") == 1
+        assert no_solve == []
 
-    def test_gateaux_without_direction(self, capsys):
-        code, _, _ = run(capsys, "gateaux", prob("linf2_exact.json"))
+    def test_gateaux_without_direction(self, capsys, no_solve):
+        code, out, err = run(capsys, "gateaux", prob("linf2_exact.json"))
         assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert no_solve == []
+
+    def test_truncated_octahedron_is_one_error_line(self, capsys, tmp_path):
+        # the l_1 ball's dual list without +-(1, 1, 1): radii on it would read 1.0 where l_1(3) gives 3.0
+        units = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+        signs = [[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1) if abs(a + b + c) < 3]
+        norm = {"kind": "polyhedral", "primal_extremes": units, "dual_extremes": signs}
+        obj = {"space": {"field": "real", "dim": 3, "norm": norm}, "tuple": {"matrices": [[[1] * 3] * 3]}}
+        code, out, err = run(capsys, "radius", write_problem(tmp_path, obj))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: dual extreme") and err.count("\n") == 1
 
     def test_zero_radius_exit_two(self, capsys, tmp_path):
         path = write_problem(
@@ -515,6 +545,50 @@ class TestErrorPaths:
         assert code == 2
 
 
+# orth's second input, each fault read before the solve; "missing.json" is relative to an empty directory
+ORTH_INPUT_FAULTS = {
+    "missing-against": (_malformed(), "--against", "missing.json"),
+    "subspace-other-p": (_malformed(subspace=[_OTHER_P]),),
+    "against-nan": (_malformed(against={"d": 1, "p": 2, "matrices": [[[1, math.nan], [0, 0]]]}),),
+}
+
+
+class TestSecondInputBeforeSolve:
+    """orth's second input is read and checked before the solve, and each command solves at most once."""
+
+    @pytest.mark.parametrize("name", ORTH_INPUT_FAULTS)
+    def test_orth_fault_is_one_error_line_without_a_solve(self, capsys, tmp_path, monkeypatch, no_solve, name):
+        obj, *flags = ORTH_INPUT_FAULTS[name]
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "orth", write_problem(tmp_path, obj), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert no_solve == []
+
+    def test_empty_basis_is_reported_before_the_tolerance(self, capsys, tmp_path):
+        # two faults: the empty subspace (exit 2) is read before `radius` refuses --tol 2 (exit 1)
+        code, out, err = run(capsys, "orth", write_problem(tmp_path, _malformed(subspace=[])), "--tol", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: subspace needs") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_one_solve_per_command(self, capsys, monkeypatch, command):
+        calls = []
+        original = cli.radius
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "radius", counting)
+        monkeypatch.chdir(ROOT)  # the README's paths are repo-relative
+        code, _, err = run(capsys, *_readme_commands()[command])
+        assert code == 0, err
+        assert len(calls) == (0 if command == "extremes" else 1)
+
+
 def _readme_commands() -> dict:
     """argv of each `jointradius ...` line in the README's command block, by command."""
     with open(README, encoding="utf-8") as fh:
@@ -530,6 +604,13 @@ class TestReadme:
         monkeypatch.chdir(ROOT)  # the README's paths are repo-relative
         code, _, err = run(capsys, *_readme_commands()[command])
         assert code == 0, err
+
+    def test_quick_tour_runs(self, capsys):
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        block = text.split("## Library quick tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+        exec(compile(block, README, "exec"), {})
+        assert capsys.readouterr().out == "1.0 1.0 -1.0 NotSmooth True\n"
 
     def test_polyhedral_schema_keys(self, capsys, tmp_path):
         with open(README, encoding="utf-8") as fh:

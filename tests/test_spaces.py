@@ -31,7 +31,7 @@ from jointradius import (
     space_to_json,
 )
 from jointradius.spaces import ACTIVE_TOL, DESCRIPTOR_TOL, _PAIR_TABLES, AdmissiblePairs, lp_norm, lp_norm_rows
-from conftest import hilbert, l1, linf, lr, near_duplicate_polygon, random_polygon_space
+from conftest import hilbert, l1, linf, lr, near_duplicate_polygon, random_polygon_space, random_polytope, without_pair
 
 
 class TestNormEval:
@@ -488,10 +488,28 @@ class TestDescriptorConstruction:
     def test_numpy_r(self):
         assert norm_eval(SpaceDescriptor(REAL, 2, LpNorm(np.float64(1.0))), [3.0, -4.0]) == 7.0
 
+    @pytest.mark.parametrize(
+        "prim, dual",
+        [([1.0, -1.0], [1.0, -1.0]), ([[1.0], [-1.0]], 5), ([[1.0], None], [[1.0], [-1.0]])],
+        ids=["flat-lists", "dual-number", "extreme-none"],
+    )
+    def test_polyhedral_extremes_must_be_vectors(self, prim, dual):
+        with pytest.raises(InvalidDescriptor, match="must be a list of numeric vectors"):
+            Polyhedral(prim, dual)
+
 
 _CROSS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 _SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 _HEXAGON = np.array([[np.cos(k * np.pi / 3), np.sin(k * np.pi / 3)] for k in range(6)])
+_UNITS3 = np.vstack([np.eye(3), -np.eye(3)])
+_SIGNS3 = np.array(list(itertools.product([1.0, -1.0], repeat=3)))
+_CUBOCTAHEDRON = np.array([v for v in itertools.product([1.0, -1.0, 0.0], repeat=3) if np.count_nonzero(v) == 2])
+# (primal, dual) of 3-polytopes: l_1, l_inf, and the cuboctahedron, whose vertices lie on 4 facets each
+POLYTOPES3 = {
+    "l1": (_UNITS3, _SIGNS3),
+    "linf": (_SIGNS3, _UNITS3),
+    "cuboctahedron": (_CUBOCTAHEDRON, np.vstack([_UNITS3, _SIGNS3 / 2])),
+}
 
 
 class TestPolyhedralDescriptor:
@@ -574,6 +592,28 @@ class TestPolyhedralDescriptor:
         dual = np.vstack([_CROSS, [[0.5, 0.5], [-0.5, -0.5]]])
         with pytest.raises(InvalidDescriptor, match=r"dual extreme \[0.5, 0.5\] is not a vertex"):
             SpaceDescriptor(field=REAL, dim=2, norm=Polyhedral(_SQUARE, dual))
+
+    def test_truncated_octahedron_rejected(self):
+        # the l_1 ball's dual list without the facets +-(1, 1, 1): each extreme is a vertex of its
+        # list, but max |u(x)| would give (1, 1, 1) / 3 the norm 1 / 3 instead of 1
+        with pytest.raises(InvalidDescriptor, match=r"dual extreme \[1.0, 1.0, -1.0\] has 3 admissible partners"):
+            SpaceDescriptor(field=REAL, dim=3, norm=Polyhedral(_UNITS3, _SIGNS3[np.abs(_SIGNS3.sum(axis=1)) < 3]))
+
+    @pytest.mark.parametrize("name", POLYTOPES3)
+    def test_polytopes_admitted_and_every_facet_pair_required(self, name):
+        prim, dual = POLYTOPES3[name]
+        SpaceDescriptor(field=REAL, dim=3, norm=Polyhedral(prim, dual))
+        for k in range(len(dual)):
+            with pytest.raises(InvalidDescriptor):
+                SpaceDescriptor(field=REAL, dim=3, norm=Polyhedral(prim, without_pair(dual, k)))
+
+    def test_random_polytopes_admitted_and_every_facet_pair_required(self, rng):
+        for _ in range(20):
+            prim, dual = random_polytope(rng)
+            SpaceDescriptor(field=REAL, dim=3, norm=Polyhedral(prim, dual))
+            for k in range(len(dual)):
+                with pytest.raises(InvalidDescriptor):
+                    SpaceDescriptor(field=REAL, dim=3, norm=Polyhedral(prim, without_pair(dual, k)))
 
     def test_validation_arrays_within_the_entry_budget(self):
         # 2898^2 x 2 entries exceed 2^24: refused before any N x N array (134 MB) is built
