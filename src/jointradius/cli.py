@@ -27,7 +27,7 @@ from .errors import (
 )
 from .optuples import OperatorTuple, _entry_to_json, tuple_from_json
 from .oracle import audit
-from .orth import TupleSubspace, orth_scalar, orth_subspace
+from .orth import TupleSubspace, _admit, orth_scalar, orth_subspace
 from .radius import DEFAULT_STARTS, _check_tuple, radius
 from .spaces import SpaceDescriptor, extreme_points, space_from_json
 from .subdiff import gateaux_one_sided, generators, smoothness
@@ -94,12 +94,15 @@ def _second_input(problem: ProblemFile, args):
     if args.command != "orth":
         return None
     if args.subspace is None and "subspace" not in problem.raw:
-        return _compatible_tuple(problem, _section(problem, "against", args.against))
-    obj = _section(problem, "subspace", args.subspace)
-    items = obj.get("basis") if isinstance(obj, dict) else obj
-    if not isinstance(items, list):
-        raise InvalidDescriptor("'subspace' must be a list of tuples or an object with a 'basis' list")
-    return TupleSubspace(tuple(_compatible_tuple(problem, it) for it in items))
+        direction = _compatible_tuple(problem, _section(problem, "against", args.against))
+    else:
+        obj = _section(problem, "subspace", args.subspace)
+        items = obj.get("basis") if isinstance(obj, dict) else obj
+        if not isinstance(items, list):
+            raise InvalidDescriptor("'subspace' must be a list of tuples or an object with a 'basis' list")
+        direction = TupleSubspace(tuple(_compatible_tuple(problem, it) for it in items))
+    _admit(problem.tuple, direction)
+    return direction
 
 
 def _vector_json(v, field: str):

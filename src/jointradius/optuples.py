@@ -88,10 +88,11 @@ def pair_image(T: OperatorTuple, pair: NormingPair) -> np.ndarray:
 
 
 def pair_images(T: OperatorTuple, X: np.ndarray, XS: np.ndarray) -> np.ndarray:
-    """(m, d) array of x_k*(T_i x_k) for the pairs (X[k], XS[k]), in one array pass."""
+    """(m, d) array of x_k*(T_i x_k) for the pairs (X[k], XS[k]); row k has the floats of `pair_image`."""
     if X.shape[1:] != (T.n,) or XS.shape != X.shape:
         raise DimensionMismatch("pair dimension does not match the tuple")
-    return np.einsum("ijk,kj->ki", T.matrices @ X.T, np.conj(XS))
+    Y = np.matmul(T.matrices, X[:, None, :, None])[..., 0]  # Y[k, i] = T_i x_k
+    return (Y @ np.conj(XS)[:, :, None])[..., 0]
 
 
 def aggregate(T: OperatorTuple, pair: NormingPair) -> float:

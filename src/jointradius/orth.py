@@ -51,11 +51,19 @@ class TupleSubspace:
             first._check_compatible(S)
 
 
-def _check_independent(T: OperatorTuple, B: np.ndarray) -> None:
+def _admit(T: OperatorTuple, direction) -> None:
+    """Reject a direction (S's scaling family or V) unfit for T: incompatible, or spanning T; run before any solve."""
+    if isinstance(direction, TupleSubspace):
+        T._check_compatible(direction.basis[0])
+        B, what = np.column_stack([S.matrices.ravel() for S in direction.basis]), "the subspace basis"
+    else:
+        T._check_compatible(direction)
+        family = np.eye(direction.d)[:, :, None, None] * direction.matrices  # the tuples (0, ..., S_i, ..., 0)
+        B, what = family.reshape(direction.d, -1).T, "the against tuple's scaling family"
     t = T.matrices.ravel()
     coef, *_ = np.linalg.lstsq(B, t, rcond=None)
     if np.linalg.norm(t - B @ coef) < DEPENDENT_TOL * max(np.linalg.norm(t), 1e-300):
-        raise DependentDirection("T lies in the span of the subspace basis")
+        raise DependentDirection(f"T lies in the span of {what}")
 
 
 def _points(T: OperatorTuple, direction, rr: RadiusResult) -> np.ndarray:
@@ -65,7 +73,7 @@ def _points(T: OperatorTuple, direction, rr: RadiusResult) -> np.ndarray:
     if isinstance(direction, TupleSubspace):
         rows = evaluate(table, direction.basis)  # complex exactly on complex-field data
     else:
-        rows = np.ascontiguousarray(table[2] * pair_images(direction, *table[:2]))
+        rows = table[2] * pair_images(direction, *table[:2])
     return np.hstack([rows.real, rows.imag]) if np.iscomplexobj(rows) else rows
 
 
@@ -93,8 +101,7 @@ def orth_scalar(
     T: OperatorTuple, S: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult
 ) -> OrthResult:
     """Orthogonality of T to the family (lam_1 S_1, ..., lam_d S_d)."""
-    T._check_compatible(S)
-    _check_independent(T, (np.eye(S.d)[:, :, None, None] * S.matrices).reshape(S.d, -1).T)
+    _admit(T, S)
     return _decide(_points(T, S, rr), rr, S.max_entry())
 
 
@@ -102,8 +109,7 @@ def orth_subspace(
     T: OperatorTuple, V: TupleSubspace, space: SpaceDescriptor, rr: RadiusResult
 ) -> OrthResult:
     """Orthogonality of T to span(basis); one constraint per basis tuple."""
-    T._check_compatible(V.basis[0])
-    _check_independent(T, np.column_stack([S.matrices.ravel() for S in V.basis]))
+    _admit(T, V)
     ref = max(S.max_entry() for S in V.basis)
     return _decide(_points(T, V, rr), rr, ref)
 

@@ -25,7 +25,6 @@ the passing candidates is the new state; only other rounds scatter.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -38,6 +37,7 @@ from .spaces import (
     COMPLEX,
     ENTRY_BUDGET,
     ORBIT_TOL,
+    AdmissiblePairs,
     NormingPair,
     SpaceDescriptor,
     _conj,
@@ -94,30 +94,6 @@ def _require_positive(rr: RadiusResult) -> None:
 _PAIR_CHUNK = 1 << 15  # candidate pairs tested per array operation
 
 
-def _orbit_keys(V: np.ndarray):
-    """Phase-invariant key k(v) = |<v, g>| of each row v = (x, x*) of V, and
-    the window: the largest key gap between orbit mates.
-
-    g holds fixed weights in [0.5, 1) from a sine hash.  With no small
-    integer relations among them, distinct orbits rarely share a key, and a
-    shared key only widens a window.  A hash, not numpy.random, whose import
-    costs about 20 ms in every CLI process.
-
-    A mate mu v + e, |mu| = 1, within ORBIT_TOL in x and in x* has
-    ||e|| <= sqrt(2) ORBIT_TOL, so by Cauchy-Schwarz its key is within
-    sqrt(2) ORBIT_TOL ||g|| of k(v).  The rounding term, with vmax >= ||v||,
-    covers two keys of m products each (about (sqrt(2) m + 2) eps ||g|| vmax
-    apiece) and the few-eps error of the phase and norm test in `_mates`.
-    """
-    m = V.shape[1]
-    g = 0.5 + 0.5 * ((np.sin(np.arange(1.0, m + 1)) * 43758.5453) % 1.0)
-    norms = np.linalg.norm(V, axis=1)
-    vmax = float(np.max(norms, initial=0.0, where=np.isfinite(norms)))
-    rounding = 4.0 * (m + 8) * np.finfo(float).eps * vmax
-    window = np.linalg.norm(g) * (math.sqrt(2.0) * ORBIT_TOL + rounding)
-    return np.abs(V @ g), window
-
-
 def _mates(X, XS, K, lead, f, c) -> np.ndarray:
     """Whether candidate c is within ORBIT_TOL of a unimodular multiple of founder f, per entry.
 
@@ -137,47 +113,38 @@ def _mates(X, XS, K, lead, f, c) -> np.ndarray:
 
 
 def orbit_dedup(pairs):
-    """Greedy clustering of norming pairs into unimodular orbits.
+    """The founders of the unimodular orbits of the pairs, in input order.
 
-    A candidate joins an orbit when the phase mu aligned on the founder's
-    largest coordinate (a sign on real data) maps the founder onto it within
-    ORBIT_TOL in both components.  Founders keep their input order, so the
-    output is deterministic.
-
-    Pairs are sorted on the phase-invariant key of `_orbit_keys`, and the
-    exact test runs, in one array pass, only on pairs whose keys lie within
-    its window; keys that collide only widen the tested set.  A greedy pass
-    over the matches then picks the founders that a scan of every candidate
-    against all founders would pick.
+    On `AdmissiblePairs` (real extreme pairs) the only mate of (v, u) is (-v, -u), so the orbit
+    id of pair (i, j) is the lower flat index of (i, j) and (neg i, neg j).  Any other sequence,
+    such as ascent points, is tested pair by pair: a candidate mates an earlier pair when the
+    phase mu aligned on that pair's largest coordinate (a sign on real data) maps it onto the
+    candidate within ORBIT_TOL in both components, and each candidate that no earlier founder
+    mates founds an orbit.
     """
     if not pairs:
         return []
+    if isinstance(pairs, AdmissiblePairs):
+        m = len(pairs.dual)
+        ids = np.minimum(pairs.rows * m + pairs.cols, pairs.neg_primal[pairs.rows] * m + pairs.neg_dual[pairs.cols])
+        return [pairs[k] for k in np.sort(np.unique(ids, return_index=True)[1]).tolist()]
     X = np.array([pr.x for pr in pairs])
     XS = np.array([pr.x_star for pr in pairs])
     N = len(pairs)
     K = np.argmax(np.abs(X), axis=1)
     lead = X[np.arange(N), K]  # each pair's own largest coordinate
-    keys, window = _orbit_keys(np.hstack([X, XS]))
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    # sorted position s is tested against the positions lo[s], ..., s - 1
-    lo = np.searchsorted(sk, sk - window, side="left")
-    cnt = np.arange(N) - lo
-    s = np.repeat(np.arange(N), cnt)
-    t = np.arange(len(s)) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
-    f = np.minimum(order[s], order[t])  # each pair is tested with the earlier one as founder
-    c = np.maximum(order[s], order[t])
-    ok = np.zeros(len(f), dtype=bool)
-    for i in range(0, len(f), _PAIR_CHUNK):  # bounded memory when many keys collide
-        part = slice(i, i + _PAIR_CHUNK)
-        ok[part] = _mates(X, XS, K, lead, f[part], c[part])
-    mates = [[] for _ in range(N)]
-    for fi, ci in zip(f[ok].tolist(), c[ok].tolist()):
-        mates[ci].append(fi)
-    founder = [False] * N
-    for j in range(N):
-        founder[j] = not any(founder[i] for i in mates[j])
-    return [pr for pr, keep in zip(pairs, founder) if keep]
+    founder = np.ones(N, dtype=bool)  # final for every pair before the current pass
+    step = max(1, _PAIR_CHUNK // N)  # candidates per pass, each against every earlier founder
+    for lo in range(1, N, step):
+        hi = min(N, lo + step)
+        c, f = np.nonzero(np.tri(hi - lo, hi, lo - 1, dtype=bool) & founder[:hi])
+        c += lo
+        ok = _mates(X, XS, K, lead, f, c)
+        # in candidate order, so a founder's status is final before it is read
+        for fi, ci in zip(f[ok].tolist(), c[ok].tolist()):
+            if founder[fi]:
+                founder[ci] = False
+    return [pr for pr, keep in zip(pairs, founder.tolist()) if keep]
 
 
 def _check_attain_tol(rel_tol: float) -> None:
@@ -211,13 +178,14 @@ def _check_multistart(starts: int, seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-def _result(scored, method: str, T: OperatorTuple, attain_tol: float) -> RadiusResult:
-    """The result of (value, pair) items in a fixed order: one `orbit_dedup` call groups the near-best pairs."""
-    best = max(v for v, _ in scored)
+def _result(values, pairs, method: str, T: OperatorTuple, attain_tol: float) -> RadiusResult:
+    """The result of the pairs and their values, in a fixed order: one `orbit_dedup` call groups the near-best pairs."""
+    best = max(values)
     cut = best - attain_tol * max(best, 0.0)
-    near = [(v, pr) for v, pr in scored if v >= cut]
-    by_id = {id(pr): v for v, pr in near}
-    orbits = tuple(Orbit(rep, by_id[id(rep)]) for rep in orbit_dedup([pr for _, pr in near]))
+    keep = [k for k, v in enumerate(values) if v >= cut]
+    near = pairs.at(keep) if isinstance(pairs, AdmissiblePairs) else [pairs[k] for k in keep]
+    by_id = {id(pr): values[k] for k, pr in zip(keep, near)}
+    orbits = tuple(Orbit(rep, by_id[id(rep)]) for rep in orbit_dedup(near))
     attaining = AttainingSet(orbits=orbits, exhaustive=method == EXACT_ENUMERATION)
     surrogate = T.max_entry()  # a value within 1e-12 max|T_ij| of zero, for a nonzero T, is degenerate
     return RadiusResult(best, method, attaining, degenerate=surrogate > 0 and best <= 1e-12 * surrogate)
@@ -250,8 +218,8 @@ def radius_exact(
     best = vals.max()
     slack = 16 * np.finfo(float).eps * (n * d * S + (d + 2) * best) + n * d * np.finfo(float).tiny
     window = np.flatnonzero(vals >= best - attain_tol * best - slack)
-    scored = [(aggregate(T, pr), pr) for pr in pairs.at(window)]
-    return _result(scored, EXACT_ENUMERATION, T, attain_tol)
+    pairs = pairs.at(window)
+    return _result([aggregate(T, pr) for pr in pairs], pairs, EXACT_ENUMERATION, T, attain_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +414,13 @@ def radius_smooth(
     m = T.max_entry() or 1.0
     unit = OperatorTuple(T.matrices / m, p=T.p, field=T.field)
     r = space.norm.r
-    scored = []
+    values, pairs = [], []
     for lo in range(0, starts, DEFAULT_STARTS):
         rngs = [np.random.default_rng([seed, k]) for k in range(lo, min(lo + DEFAULT_STARTS, starts))]
-        values, X, _ = _ascend_all(unit, space, np.array([random_unit_vector(space, g) for g in rngs]), rngs)
-        scored += [(m * v, NormingPair(x, smooth_duality_vector(x, r))) for v, x in zip(values.tolist(), X)]
-    return _result(scored, MULTI_START, T, attain_tol)
+        vals, X, _ = _ascend_all(unit, space, np.array([random_unit_vector(space, g) for g in rngs]), rngs)
+        values += [m * v for v in vals.tolist()]
+        pairs += [NormingPair(x, smooth_duality_vector(x, r)) for x in X]
+    return _result(values, pairs, MULTI_START, T, attain_tol)
 
 
 def radius(

@@ -335,15 +335,17 @@ def duality_map(space: SpaceDescriptor, x) -> list[NormingPair]:
 
 
 class AdmissiblePairs(Sequence):
-    """The admissible extreme pairs (primal[rows[k]], dual[cols[k]]), k < len(rows).
+    """The admissible extreme pairs (primal[rows[k]], dual[cols[k]]), k < len(rows); the mate
+    (-v, -u) of pair (i, j) is (neg_primal[i], neg_dual[j]).
 
-    `at(idx)` builds the NormingPairs of the indices idx.  Indexing and
-    slicing go through one list built on first access, so repeated access
-    returns the same objects.
+    `at(idx)` is the subset of the indices idx.  Access goes through one list
+    of NormingPairs, built on first access or shared with the set a subset is
+    taken from, so repeated access returns the same objects.
     """
 
-    def __init__(self, primal: np.ndarray, dual: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    def __init__(self, primal, dual, rows, cols, neg_primal, neg_dual):
         self.primal, self.dual, self.rows, self.cols = primal, dual, rows, cols
+        self.neg_primal, self.neg_dual = neg_primal, neg_dual
         self._pairs = None
 
     def __len__(self) -> int:
@@ -351,21 +353,37 @@ class AdmissiblePairs(Sequence):
 
     def __getitem__(self, k):
         if self._pairs is None:
-            self._pairs = self.at(slice(None))
+            rows, cols = self.rows.tolist(), self.cols.tolist()
+            # one view per extreme point, shared by all of its pairs
+            primal, dual = [None] * len(self.primal), [None] * len(self.dual)
+            for i in set(rows):
+                primal[i] = self.primal[i]
+            for j in set(cols):
+                dual[j] = self.dual[j]
+            self._pairs = [NormingPair(primal[i], dual[j]) for i, j in zip(rows, cols)]
         return self._pairs[k]
 
-    def at(self, idx) -> list[NormingPair]:
-        rows, cols = self.rows[idx].tolist(), self.cols[idx].tolist()
-        # one view per extreme point, shared by all of its pairs
-        primal, dual = [None] * len(self.primal), [None] * len(self.dual)
-        for i in set(rows):
-            primal[i] = self.primal[i]
-        for j in set(cols):
-            dual[j] = self.dual[j]
-        return [NormingPair(primal[i], dual[j]) for i, j in zip(rows, cols)]
+    def __iter__(self):
+        return iter(self[:])
+
+    def at(self, idx) -> "AdmissiblePairs":
+        sub = AdmissiblePairs(self.primal, self.dual, self.rows[idx], self.cols[idx], self.neg_primal, self.neg_dual)
+        if self._pairs is not None:
+            sub._pairs = [self._pairs[k] for k in np.arange(len(self))[idx].tolist()]
+        return sub
 
 
-# space -> read-only (primal, dual, rows, cols); an entry lives as long as its key space does
+def _negations(space: SpaceDescriptor, primal: np.ndarray, dual: np.ndarray):
+    """The index of -v for each row v of either list of `extreme_points`: on real l_1/l_inf, k^1
+    among the units and 2^n - 1 - k among the sign vectors; on a polyhedral space the nearest row,
+    from an N x N x dim array within the budget validation enforces."""
+    if isinstance(space.norm, Polyhedral):
+        return tuple(np.argmin(np.abs(E[:, None, :] + E[None, :, :]).max(axis=2), axis=1) for E in (primal, dual))
+    units, signs = np.arange(2 * space.dim) ^ 1, np.arange(2**space.dim)[::-1]
+    return (units, signs) if space.norm.r == 1 else (signs, units)
+
+
+# space -> read-only (primal, dual, rows, cols, neg_primal, neg_dual); an entry lives as long as its key space does
 _PAIR_TABLES = weakref.WeakKeyDictionary()
 
 
@@ -381,7 +399,7 @@ def admissible_pairs(space: SpaceDescriptor) -> AdmissiblePairs:
     if table is None:
         primal, dual = extreme_points(space)
         rows, cols = np.nonzero(np.abs(primal @ dual.T - 1.0) <= DESCRIPTOR_TOL)
-        table = _PAIR_TABLES[space] = (primal, dual, rows, cols)
+        table = _PAIR_TABLES[space] = (primal, dual, rows, cols, *_negations(space, primal, dual))
         for a in table:
             a.setflags(write=False)
     return AdmissiblePairs(*table)

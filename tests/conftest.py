@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
@@ -83,6 +85,23 @@ def random_polytope(rng: np.random.Generator) -> tuple:
         if not any(np.allclose(u, w, rtol=0, atol=1e-9) for w in U):
             U.append(u)
     return pts[hull.vertices], np.array(U)
+
+
+def cuboctahedron() -> tuple:
+    """(primal, dual) extremes of the cuboctahedron, whose vertices lie on 4 facets each."""
+    units = np.vstack([np.eye(3), -np.eye(3)])
+    signs = np.array(list(itertools.product([1.0, -1.0], repeat=3)))
+    vertices = np.array([v for v in itertools.product([1.0, -1.0, 0.0], repeat=3) if np.count_nonzero(v) == 2])
+    return vertices, np.vstack([units, signs / 2])
+
+
+def extreme_spaces(rng: np.random.Generator) -> list:
+    """Spaces with finite extreme lists: real l_1 and l_inf for n = 1..8, three
+    seeded polygons, three random 3-polytopes and the cuboctahedron."""
+    spaces = [make(n) for n in range(1, 9) for make in (l1, linf)]
+    spaces += [random_polygon_space(rng, vertices=5) for _ in range(3)]
+    polytopes = [random_polytope(rng) for _ in range(3)] + [cuboctahedron()]
+    return spaces + [SpaceDescriptor(field=REAL, dim=3, norm=Polyhedral(*pd)) for pd in polytopes]
 
 
 def without_pair(E: np.ndarray, k: int) -> np.ndarray:

@@ -573,6 +573,21 @@ class TestSecondInputBeforeSolve:
         assert out == ""
         assert err.startswith("error: subspace needs") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flag, what", [("--against", "the against tuple's scaling family"), ("--subspace", "the subspace basis")]
+    )
+    def test_dependent_direction_is_refused_without_a_solve(self, capsys, tmp_path, no_solve, flag, what):
+        # the problem's own tuple spans T; with --tol 2 as well, the dependence is still the fault reported
+        with open(prob("hilbert_smooth.json"), encoding="utf-8") as fh:
+            tup = json.load(fh)["tuple"]
+        path = write_problem(tmp_path, tup if flag == "--against" else [tup], "direction.json")
+        for extra in ([], ["--tol", "2"]):
+            code, out, err = run(capsys, "orth", prob("hilbert_smooth.json"), flag, path, "--starts", "2000", *extra)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: T lies in the span of {what}\n"
+        assert no_solve == []
+
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_one_solve_per_command(self, capsys, monkeypatch, command):
         calls = []

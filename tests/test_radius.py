@@ -34,7 +34,6 @@ from jointradius.radius import (
     _ascend_all,
     _gradient,
     _objective,
-    _orbit_keys,
     _result,
 )
 from jointradius.spaces import (
@@ -45,7 +44,7 @@ from jointradius.spaces import (
     random_unit_vector,
     smooth_duality_vector,
 )
-from conftest import hilbert, l1, linf, lr, random_polygon_space, single
+from conftest import extreme_spaces, hilbert, l1, linf, lr, random_polygon_space, single
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -98,8 +97,8 @@ class TestRadiusExact:
 
 def _all_pairs_exact(T, space, attain_tol):
     """radius_exact's answer with every admissible pair scored by `aggregate`."""
-    scored = [(aggregate(T, pr), pr) for pr in admissible_pairs(space)]
-    return _result(scored, EXACT_ENUMERATION, T, attain_tol)
+    pairs = admissible_pairs(space)
+    return _result([aggregate(T, pr) for pr in pairs], pairs, EXACT_ENUMERATION, T, attain_tol)
 
 
 def _orbit_bytes(attaining):
@@ -816,6 +815,25 @@ class TestOrbitDedupAgainstPairwise:
                 id(pr) for pr in want
             ]
 
+    def test_index_founders_on_extreme_spaces(self, rng):
+        # the pair-by-pair reference is quadratic in Python, so tables above 100
+        # pairs are compared with the all-pairs list path, up to 1,000 pairs
+        for sp in extreme_spaces(rng):
+            pairs = admissible_pairs(sp)
+            for sub in (pairs, pairs.at(rng.permutation(len(pairs))), pairs.at(rng.permutation(len(pairs))[::3])):
+                if len(sub) <= 100:
+                    _assert_same_founders(sub, REAL)
+                elif len(sub) <= 1000:
+                    assert [id(pr) for pr in orbit_dedup(sub)] == [id(pr) for pr in orbit_dedup(list(sub))]
+
+    def test_exact_path_never_tests_mates(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the exact path ran the tolerance test")
+
+        monkeypatch.setattr(sys.modules["jointradius.radius"], "_mates", refuse)
+        rr = radius_exact(single(np.eye(6)), linf(6))
+        assert rr.value == 1.0 and len(rr.attaining.orbits) == 6 * 2**5
+
     def test_shuffled_signed_pairs(self, rng):
         _assert_same_founders(_signed_pairs(5, rng), REAL)
 
@@ -875,11 +893,9 @@ class TestOrbitDedupAgainstPairwise:
         assert len(got) == 1 + (len(pairs) - 1) // 2
 
     def test_every_key_collides(self, rng):
-        # on complex l_2(4), x = x*, so k(v) = |<x, g_x + g_x*>| is 0 for every x
-        # orthogonal to g_x + g_x*: 40 distinct orbits in the span of two
-        # orthonormal such vectors, 3 phases each, all share one window
-        g = _orbit_keys(np.eye(8))[0]  # the key of e_k is g_k
-        u = np.linalg.svd((g[:4] + g[4:])[None, :])[2][1:3]
+        # on complex l_2(4), x = x*: 40 distinct orbits in the span of two
+        # orthonormal vectors, 3 phases each, all tested against each other
+        u = np.linalg.qr(rng.standard_normal((4, 2)))[0].T
         psis = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
         pairs = []
         for psi in psis:
@@ -887,41 +903,10 @@ class TestOrbitDedupAgainstPairwise:
             for theta in rng.uniform(0.0, 2.0 * np.pi, size=3):
                 pairs.append(NormingPair(np.exp(1j * theta) * x, np.exp(1j * theta) * x))
         pairs = [pairs[i] for i in rng.permutation(len(pairs))]
-        keys, window = _orbit_keys(np.array([np.concatenate([pr.x, pr.x_star]) for pr in pairs]))
-        assert np.ptp(keys) <= window
         assert len(_assert_same_founders(pairs, COMPLEX)) == len(psis)
 
     def test_empty(self):
         assert orbit_dedup([]) == []
-
-
-class TestOrbitKey:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        n=st.integers(1, 6),
-        r=st.floats(1.1, 8.0),
-        field=st.sampled_from([REAL, COMPLEX]),
-        theta=st.floats(0.0, 2.0 * math.pi),
-        shrink=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-        steepest=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_mate_moves_key_within_window(self, n, r, field, theta, shrink, steepest, seed):
-        rng = np.random.default_rng(seed)
-        x = random_unit_vector(lr(n, r, field), rng)
-        v = np.concatenate([x, smooth_duality_vector(x, r)])
-        mu = np.exp(1j * theta) if field == COMPLEX else (1.0 if theta < math.pi else -1.0)
-        if steepest:  # along g, in the phase of <mu v, g>: the largest move of the key
-            g = _orbit_keys(np.eye(2 * n))[0]
-            z = np.dot(mu * v, g)
-            e = (z / abs(z) if abs(z) > 0 else 1.0) * g
-        else:
-            e = _gaussian(lr(2 * n, 2.0, field), rng)
-        ex, exs = e[:n], e[n:]
-        ex = shrink[0] * ORBIT_TOL * ex / max(np.linalg.norm(ex), 1e-300)
-        exs = shrink[1] * ORBIT_TOL * exs / max(np.linalg.norm(exs), 1e-300)
-        keys, window = _orbit_keys(np.array([v, mu * v + np.concatenate([ex, exs])]))
-        assert abs(keys[1] - keys[0]) <= window
 
 
 class TestOrbitDedup:

@@ -31,7 +31,18 @@ from jointradius import (
     space_to_json,
 )
 from jointradius.spaces import ACTIVE_TOL, DESCRIPTOR_TOL, _PAIR_TABLES, AdmissiblePairs, lp_norm, lp_norm_rows
-from conftest import hilbert, l1, linf, lr, near_duplicate_polygon, random_polygon_space, random_polytope, without_pair
+from conftest import (
+    cuboctahedron,
+    extreme_spaces,
+    hilbert,
+    l1,
+    linf,
+    lr,
+    near_duplicate_polygon,
+    random_polygon_space,
+    random_polytope,
+    without_pair,
+)
 
 
 class TestNormEval:
@@ -317,7 +328,7 @@ class TestAdmissiblePairs:
         pairs = admissible_pairs(l1(3))
         idx = np.array([23, 0, 5, 1])
         built = pairs.at(idx)
-        assert len(built) == len(idx)
+        assert isinstance(built, AdmissiblePairs) and len(built) == len(idx)
         for pr, k in zip(built, idx):
             np.testing.assert_array_equal(pr.x, pairs.primal[pairs.rows[k]])
             np.testing.assert_array_equal(pr.x_star, pairs.dual[pairs.cols[k]])
@@ -325,7 +336,20 @@ class TestAdmissiblePairs:
             np.testing.assert_array_equal(pr.x_star, pairs[k].x_star)
         # pairs 0 and 1 share their primal extreme, and so its row view
         assert built[1].x is built[3].x
-        assert pairs.at(np.array([], dtype=int)) == []
+        assert len(pairs.at(np.array([], dtype=int))) == 0
+        # a subset of a built set shares its pair objects
+        assert [id(pr) for pr in pairs.at(idx)] == [id(pairs[k]) for k in idx]
+
+    def test_negation_indices(self, rng):
+        # neg maps each extreme to its negation, within DESCRIPTOR_TOL, and is an involution
+        for sp in extreme_spaces(rng):
+            pairs = admissible_pairs(sp)
+            for E, neg in ((pairs.primal, pairs.neg_primal), (pairs.dual, pairs.neg_dual)):
+                assert neg.shape == (len(E),)
+                assert np.max(np.abs(E[neg] + E)) <= DESCRIPTOR_TOL
+                np.testing.assert_array_equal(neg[neg], np.arange(len(E)))
+            for sub in (pairs, pairs.at(np.arange(len(pairs))[::2])):
+                assert sub.neg_primal is pairs.neg_primal and sub.neg_dual is pairs.neg_dual
 
 
 class TestPairTable:
@@ -503,12 +527,11 @@ _SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 _HEXAGON = np.array([[np.cos(k * np.pi / 3), np.sin(k * np.pi / 3)] for k in range(6)])
 _UNITS3 = np.vstack([np.eye(3), -np.eye(3)])
 _SIGNS3 = np.array(list(itertools.product([1.0, -1.0], repeat=3)))
-_CUBOCTAHEDRON = np.array([v for v in itertools.product([1.0, -1.0, 0.0], repeat=3) if np.count_nonzero(v) == 2])
 # (primal, dual) of 3-polytopes: l_1, l_inf, and the cuboctahedron, whose vertices lie on 4 facets each
 POLYTOPES3 = {
     "l1": (_UNITS3, _SIGNS3),
     "linf": (_SIGNS3, _UNITS3),
-    "cuboctahedron": (_CUBOCTAHEDRON, np.vstack([_UNITS3, _SIGNS3 / 2])),
+    "cuboctahedron": cuboctahedron(),
 }
 
 
