@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDescriptor
-from .spaces import (
-    COMPLEX, REAL, NormingPair, SpaceDescriptor, _json_int, _number, _signed_power, lp_norm, lp_norm_rows
-)
+from .spaces import COMPLEX, REAL, NormingPair, SpaceDescriptor, _json_int, _number, _signed_power
+from .spaces import conjugate_exponent, lp_norm, lp_norm_rows
 
 ATTAINING_TOL = 1e-6  # relative gap above which a pair does not attain
 
@@ -58,7 +57,7 @@ class OperatorTuple:
 
     @property
     def q(self) -> float:
-        return self.p / (self.p - 1.0)
+        return conjugate_exponent(self.p)
 
     def scaled(self, c) -> "OperatorTuple":
         fld = COMPLEX if (self.field == COMPLEX or isinstance(c, complex)) else REAL
@@ -133,11 +132,10 @@ def rank_one_tuple(space: SpaceDescriptor, pair: NormingPair, alpha, p: float = 
     a = np.asarray(alpha)
     if np.all(a == 0):
         raise ValueError("alpha must be nonzero")
-    q = p / (p - 1.0)
     # base operator z -> x*(z) x; under the conjugation convention this is
     # the outer product of x with conj(x_star)
     base = np.outer(pair.x, np.conj(pair.x_star))
-    coeffs = _signed_power(a, q - 2.0)
+    coeffs = _signed_power(a, conjugate_exponent(p) - 2.0)
     if space.field == REAL:
         coeffs = coeffs.real
         base = base.real

@@ -1,12 +1,13 @@
 """Birkhoff-James orthogonality certificates via hull-membership LPs.
 
 T is orthogonal to the scaling family of S (or to a tuple subspace V) exactly
-when zero is a convex combination of the per-orbit constraint vectors, each
-orbit's generator applied to the directions.  At one orbit (a smooth T) this
-is James's rule (Trans. AMS 61, 1947): orthogonal iff the unique support
-functional f vanishes on every direction, decided without the LP.  Feasible
-weights form the certificate; on non-exhaustive attaining sets the verdict is
-approximate because missed orbits can flip an infeasible LP.
+when zero is a convex combination of the per-orbit rows: each orbit's
+generator on the direction stack of `_admit` (S's slot tuples
+(0, ..., S_i, ..., 0), or V's basis), by `subdiff.evaluate`.  At one orbit (a
+smooth T) this is James's rule (Trans. AMS 61, 1947): orthogonal iff the
+unique support functional f vanishes on every direction, decided without the
+LP.  Feasible weights form the certificate; on non-exhaustive attaining sets
+the verdict is approximate because missed orbits can flip an infeasible LP.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DependentDirection, EmptyBasis, InvalidCertificate
 from .lp import LP_TOL, HullProblem, hull_membership
-from .optuples import OperatorTuple, pair_images
+from .optuples import OperatorTuple
 from .radius import RadiusResult
 from .spaces import SpaceDescriptor
 from .subdiff import _table, evaluate
@@ -51,29 +52,24 @@ class TupleSubspace:
             first._check_compatible(S)
 
 
-def _admit(T: OperatorTuple, direction) -> None:
-    """Reject a direction (S's scaling family or V) unfit for T: incompatible, or spanning T; run before any solve."""
+def _admit(T: OperatorTuple, direction) -> np.ndarray:
+    """The (m, d, n, n) direction stack (S's scaling family or V's basis); refuses one unfit for T before any solve."""
     if isinstance(direction, TupleSubspace):
         T._check_compatible(direction.basis[0])
-        B, what = np.column_stack([S.matrices.ravel() for S in direction.basis]), "the subspace basis"
+        B, what = np.stack([S.matrices for S in direction.basis]), "the subspace basis"
     else:
         T._check_compatible(direction)
-        family = np.eye(direction.d)[:, :, None, None] * direction.matrices  # the tuples (0, ..., S_i, ..., 0)
-        B, what = family.reshape(direction.d, -1).T, "the against tuple's scaling family"
-    t = T.matrices.ravel()
-    coef, *_ = np.linalg.lstsq(B, t, rcond=None)
-    if np.linalg.norm(t - B @ coef) < DEPENDENT_TOL * max(np.linalg.norm(t), 1e-300):
+        B, what = np.eye(direction.d)[:, :, None, None] * direction.matrices, "the against tuple's scaling family"
+    t, A = T.matrices.ravel(), B.reshape(len(B), -1).T
+    coef, *_ = np.linalg.lstsq(A, t, rcond=None)
+    if np.linalg.norm(t - A @ coef) < DEPENDENT_TOL * max(np.linalg.norm(t), 1e-300):
         raise DependentDirection(f"T lies in the span of {what}")
+    return B
 
 
-def _points(T: OperatorTuple, direction, rr: RadiusResult) -> np.ndarray:
-    """Row k is f_k on the directions (S's scaling family or V), split into [Re | Im] on complex data;
-    f_k(0, ..., S_i, ..., 0) = alpha_ki x_k*(S_i x_k), in C order as `evaluate` lays it out."""
-    table = _table(T, rr)
-    if isinstance(direction, TupleSubspace):
-        rows = evaluate(table, direction.basis)  # complex exactly on complex-field data
-    else:
-        rows = table[2] * pair_images(direction, *table[:2])
+def _points(T: OperatorTuple, B: np.ndarray, rr: RadiusResult) -> np.ndarray:
+    """Row k is f_k on the direction stack B of `_admit`, split into [Re | Im] on complex data."""
+    rows = evaluate(_table(T, rr), B)  # complex exactly on complex-field data
     return np.hstack([rows.real, rows.imag]) if np.iscomplexobj(rows) else rows
 
 
@@ -97,29 +93,23 @@ def _decide(points: np.ndarray, rr: RadiusResult, ref: float) -> OrthResult:
     return OrthResult(orthogonal=cert is not None, approximate=not rr.exhaustive, certificate=cert)
 
 
-def orth_scalar(
-    T: OperatorTuple, S: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult
-) -> OrthResult:
-    """Orthogonality of T to the family (lam_1 S_1, ..., lam_d S_d)."""
-    _admit(T, S)
-    return _decide(_points(T, S, rr), rr, S.max_entry())
+def _orth(T: OperatorTuple, direction, rr: RadiusResult) -> OrthResult:
+    B = _admit(T, direction)
+    return _decide(_points(T, B, rr), rr, float(np.max(np.abs(B))))
 
 
-def orth_subspace(
-    T: OperatorTuple, V: TupleSubspace, space: SpaceDescriptor, rr: RadiusResult
-) -> OrthResult:
+def orth_scalar(T: OperatorTuple, S: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult) -> OrthResult:
+    """Orthogonality of T to the family (lam_1 S_1, ..., lam_d S_d); one constraint per slot tuple."""
+    return _orth(T, S, rr)
+
+
+def orth_subspace(T: OperatorTuple, V: TupleSubspace, space: SpaceDescriptor, rr: RadiusResult) -> OrthResult:
     """Orthogonality of T to span(basis); one constraint per basis tuple."""
-    _admit(T, V)
-    ref = max(S.max_entry() for S in V.basis)
-    return _decide(_points(T, V, rr), rr, ref)
+    return _orth(T, V, rr)
 
 
 def verify_certificate(
-    cert: OrthCertificate,
-    T: OperatorTuple,
-    direction,
-    space: SpaceDescriptor,
-    rr: RadiusResult,
+    cert: OrthCertificate, T: OperatorTuple, direction, space: SpaceDescriptor, rr: RadiusResult
 ) -> float:
     """Rebuild the LP points and the weight vector of cert from scratch; return
     the residual max |points^T w| of that vector, as the certificate reports it.
@@ -132,8 +122,7 @@ def verify_certificate(
         raise InvalidCertificate(f"certificate weights sum to {total}, expected 1")
     if any(t <= 0 for _, t in cert.weights):
         raise InvalidCertificate("certificate weights must be strictly positive")
-    T._check_compatible(direction.basis[0] if isinstance(direction, TupleSubspace) else direction)
-    points = _points(T, direction, rr)
+    points = _points(T, _admit(T, direction), rr)
     w = np.zeros(len(points))
     for j, t in cert.weights:
         if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j < len(w):

@@ -201,6 +201,8 @@ def lp_norm(z: np.ndarray, p: float) -> float:
     a = np.abs(z)  # a fresh array, so it is scaled and raised in place
     short = a.size < 8
     m = max(a.tolist()) if short else a.max()
+    if a.size == 1:  # |z|, as in `lp_norm_rows`
+        return float(m)
     if not 0.0 < m < math.inf:
         return float(a.max())  # 0, inf or NaN; numpy's max lets a NaN through
     if not short:

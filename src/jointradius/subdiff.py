@@ -5,9 +5,9 @@ combination of rank-one generators f_k(S) = sum_i alpha_ki x_k*(S_i x_k),
 one per attaining unimodular orbit (orbit-mates induce the same
 functional).  `_table` stacks them as (X, XS, alpha): the orbit
 representatives and their coefficient rows, built once per radius result
-and tuple object and kept, read-only, on the result.  `evaluate` reads it in
-one array pass per direction, for the derivative range and the orthogonality
-rows; only `generators` wraps its rows as `SubdiffGenerator` objects.
+and tuple object and kept, read-only, on the result.  `evaluate` applies it to
+a whole (m, d, n, n) stack of direction tuples in one pass (the derivative
+range, the orthogonality rows); only `generators` makes `SubdiffGenerator`s.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optuples import OperatorTuple, coefficient_rows, pair_images, warn_unless_attaining
+from .errors import DimensionMismatch
+from .optuples import OperatorTuple, coefficient_rows, warn_unless_attaining
 from .radius import RadiusResult, _require_positive
 from .spaces import NormingPair, SpaceDescriptor
 
@@ -78,12 +79,13 @@ def generators(T: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult):
     return [SubdiffGenerator(pair=orb.representative, alpha=a) for orb, a in zip(orbits, alpha)]
 
 
-def evaluate(table, directions) -> np.ndarray:
-    """Matrix of f_k(S) = sum_i alpha_i x*(S_i x), one row per generator f_k
-    of the table (X, XS, alpha) and one column per direction S, each column
-    in one array pass."""
+def evaluate(table, B: np.ndarray) -> np.ndarray:
+    """Matrix of f_k(B_j) = sum_i alpha_ki x_k*(B_ji x_k), one row per generator
+    f_k of the table (X, XS, alpha) and one column per tuple B_j of the
+    (m, d, n, n) direction stack B, all in one array pass."""
     X, XS, alpha = table
-    return np.column_stack([np.sum(alpha * pair_images(S, X, XS), axis=1) for S in directions])
+    Y = np.matmul(B, X[:, None, None, :, None])[..., 0]  # Y[k, j, i] = B_ji x_k
+    return np.sum(alpha[:, None, :] * (Y @ np.conj(XS)[:, None, :, None])[..., 0], axis=2)
 
 
 def apply(gen: SubdiffGenerator, S: OperatorTuple):
@@ -93,7 +95,9 @@ def apply(gen: SubdiffGenerator, S: OperatorTuple):
     complex data.
     """
     row = [np.asarray(v)[None] for v in (gen.pair.x, gen.pair.x_star, gen.alpha)]
-    return evaluate(row, [S])[0, 0].item()
+    if [a.shape for a in row] != [(1, S.n), (1, S.n), (1, S.d)]:
+        raise DimensionMismatch("generator dimension does not match the tuple")
+    return evaluate(row, S.matrices[None])[0, 0].item()
 
 
 def gateaux_one_sided(
@@ -108,7 +112,7 @@ def gateaux_one_sided(
     """
     table = _table(T, rr)
     T._check_compatible(S)
-    cs = tuple(evaluate(table, [S])[:, 0].real.tolist())
+    cs = tuple(evaluate(table, S.matrices[None])[:, 0].real.tolist())
     return GateauxReport(g_plus=max(cs), g_minus=min(cs), c_values=cs, exhaustive=rr.exhaustive)
 
 

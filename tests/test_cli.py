@@ -119,6 +119,12 @@ class TestOtherCommands:
         assert data["approximate"] is True
         assert sum(w["t"] for w in data["certificate"]["weights"]) == pytest.approx(1.0)
 
+    def test_not_orth_example(self, capsys):
+        # diag(1, 0) on complex l_2 has one orbit and f(I) = 1: not orthogonal to span{I}, exit 0
+        code, out, err = run(capsys, "orth", prob("not_orth_case.json"), "--starts", "8")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"approximate": True, "certificate": None, "orthogonal": False}
+
     def test_direction_flag_may_name_a_problem_file(self, capsys, tmp_path):
         direction = {"d": 1, "p": 2, "matrices": [[[1, 0], [0, 0]]]}
         outs = []
@@ -599,26 +605,32 @@ class TestSecondInputBeforeSolve:
 
         monkeypatch.setattr(cli, "radius", counting)
         monkeypatch.chdir(ROOT)  # the README's paths are repo-relative
-        code, _, err = run(capsys, *_readme_commands()[command])
-        assert code == 0, err
-        assert len(calls) == (0 if command == "extremes" else 1)
+        for argv in _readme_commands()[command]:
+            calls.clear()
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+            assert len(calls) == (0 if command == "extremes" else 1)
 
 
 def _readme_commands() -> dict:
-    """argv of each `jointradius ...` line in the README's command block, by command."""
+    """argv of every `jointradius ...` line in the README's command block, listed by command."""
     with open(README, encoding="utf-8") as fh:
         text = fh.read()
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = [ln for ln in block.splitlines() if ln.startswith("jointradius ")]
-    return {argv[0]: argv for argv in (shlex.split(ln, comments=True)[1:] for ln in lines)}
+    out = {}
+    for argv in (shlex.split(ln, comments=True)[1:] for ln in lines):
+        out.setdefault(argv[0], []).append(argv)
+    return out
 
 
 class TestReadme:
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_command_block_runs(self, capsys, monkeypatch, command):
         monkeypatch.chdir(ROOT)  # the README's paths are repo-relative
-        code, _, err = run(capsys, *_readme_commands()[command])
-        assert code == 0, err
+        for argv in _readme_commands()[command]:
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
 
     def test_quick_tour_runs(self, capsys):
         with open(README, encoding="utf-8") as fh:

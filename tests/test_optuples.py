@@ -51,6 +51,11 @@ class TestConstruction:
     def test_numpy_p(self):
         assert OperatorTuple((np.eye(2),), p=np.float64(3.0)).q == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("mats", [(), []])
+    def test_no_operator_rejected(self, mats):
+        with pytest.raises(InvalidDescriptor, match="tuple needs at least one operator"):
+            OperatorTuple(mats)
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             OperatorTuple((np.eye(2), np.eye(3)), p=2.0)

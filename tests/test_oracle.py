@@ -11,6 +11,7 @@ from jointradius import (
     REAL,
     DimensionMismatch,
     OperatorTuple,
+    Unsupported,
     audit,
     fd_gateaux,
     generators,
@@ -74,6 +75,11 @@ class TestSampledRadius:
         with pytest.raises(ValueError):
             sampled_radius(single(np.eye(2)), hilbert(2, REAL), samples=0)
 
+    @pytest.mark.parametrize("r", [1.0, float("inf")], ids=["l1", "linf"])
+    def test_complex_l1_linf_unsupported(self, r):
+        with pytest.raises(Unsupported, match="no sampling functionals for complex l_1/l_inf"):
+            sampled_radius(single(np.eye(2), field=COMPLEX), lr(2, r, COMPLEX), samples=10)
+
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("r", [1e3, 1e4])
     def test_unit_vectors_at_large_r(self, field, r):
@@ -111,17 +117,29 @@ class TestFdGateaux:
 
 
 class TestLambdaSweep:
-    def test_zero_always_on_grid(self, rng):
-        sp = linf(2)
-        T = random_tuple(2, 2, REAL, 2.0, rng)
-        S = random_tuple(2, 2, REAL, 2.0, rng)
+    @pytest.mark.parametrize("field, d", [(REAL, 2), (COMPLEX, 1), (COMPLEX, 2)])
+    def test_zero_always_on_grid(self, rng, field, d):
+        sp = linf(2) if field == REAL else hilbert(2)
+        T = random_tuple(d, 2, field, 2.0, rng)
+        S = random_tuple(d, 2, field, 2.0, rng)
         sweep = lambda_sweep(T, S, sp, directions=4, seed=0)
         assert sweep.min_value <= sweep.value_at_zero
 
-    def test_finds_cancellation(self):
-        # T + lambda.S with S = T and lambda = -1 collapses the radius
-        sp = linf(2)
-        T = single(np.diag([1.0, 0.0]))
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_complex_scalings(self, rng, d):
+        # d = 1 sweeps unit phases and d > 1 complex unit directions; toward S = T some lower the radius
+        T = random_tuple(d, 2, COMPLEX, 2.0, rng)
+        sweep = lambda_sweep(T, T, hilbert(2), directions=4, radii=[0.1, 1.0], seed=0)
+        assert sweep.min_value < sweep.value_at_zero
+        assert sweep.argmin.shape == (d,)
+        assert np.iscomplexobj(sweep.argmin)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_finds_cancellation(self, field):
+        # T + lambda.S with S = T and lambda = -1 collapses the radius; on complex data
+        # -1 is the second of the two phases exp(2 pi i k / 2)
+        sp = linf(2) if field == REAL else hilbert(2)
+        T = single(np.diag([1.0, 0.0]), field=field)
         sweep = lambda_sweep(T, T, sp, directions=2, radii=[0.5, 1.0], seed=0)
         assert sweep.min_value == pytest.approx(0.0, abs=1e-12)
         assert sweep.argmin[0] == pytest.approx(-1.0)

@@ -19,8 +19,9 @@ from jointradius import (
     verify_certificate,
 )
 from jointradius.lp import HullProblem, hull_membership
-from jointradius.orth import _decide, _points
-from jointradius.subdiff import _table, evaluate
+from jointradius.optuples import pair_images
+from jointradius.orth import _admit, _decide, _points
+from jointradius.subdiff import _table
 from conftest import hilbert, l1, linf, random_polygon_space, single
 
 
@@ -255,6 +256,13 @@ class TestVerifyCertificate:
             with pytest.raises(DimensionMismatch):
                 verify_certificate(cert, T, direction, sp, rr)
 
+    def test_dependent_direction(self):
+        # a direction whose span holds T is refused, as orth_scalar and orth_subspace refuse it
+        sp, T, S, rr, cert = self._setup()
+        for direction in (T.scaled(2.0), TupleSubspace((S, T))):
+            with pytest.raises(DependentDirection):
+                verify_certificate(cert, T, direction, sp, rr)
+
     def test_residual_recomputed(self):
         sp, T, S, rr, cert = self._setup()
         assert verify_certificate(cert, T, S, sp, rr) == cert.residual
@@ -313,17 +321,17 @@ class TestOnePassRows:
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_rows_equal_the_slot_family(self, rng, field, d):
-        # reference: evaluate over the d tuples (0, ..., S_i, ..., 0) of S's scaling family
+        # reference: the one-pass family formula alpha_ki x_k*(S_i x_k), row k of alpha times the pair images
         signed = (np.diag([1.0, -1.0, 1.0]), np.eye(3)[[2, 0, 1]] * np.array([1.0, -1.0, -1.0]))
         many = OperatorTuple((np.eye(3),) + signed[: d - 1], p=3.0, field=field)
         sp = linf(3) if field == REAL else hilbert(3)
         for T in (many, random_tuple(d, 3, field, 3.0, rng), random_tuple(d, 3, field, 3.0, rng)):
             rr = radius_exact(T, sp) if field == REAL else radius_smooth(T, sp, starts=4, seed=0)
             S = random_tuple(d, 3, field, 3.0, rng)
-            slots = np.eye(d)[:, :, None, None] * S.matrices
-            rows = evaluate(_table(T, rr), [OperatorTuple(M, p=S.p, field=field) for M in slots])
+            X, XS, alpha = _table(T, rr)
+            rows = alpha * pair_images(S, X, XS)
             want = np.hstack([rows.real, rows.imag]) if field == COMPLEX else rows
-            got = _points(T, S, rr)
+            got = _points(T, _admit(T, S), rr)
             assert got.flags.c_contiguous
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()

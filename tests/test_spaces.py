@@ -149,6 +149,17 @@ class TestLpNorm:
                 assert got[7] == 0.0
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("p", [1.01, 2.7, 80.0])
+    def test_one_entry_is_its_modulus(self, rng, field, p):
+        z = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+        if field == COMPLEX:
+            z = z + 1j * rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+        z = np.concatenate([z, [0.0, 5e-324, -5e-324, 1e308, -1e308]])
+        got = [lp_norm(z[k : k + 1], p) for k in range(len(z))]
+        assert all(type(g) is float for g in got)
+        assert np.array(got).tobytes() == np.abs(z).tobytes() == lp_norm_rows(z[:, None], p).tobytes()
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_zero_inf_and_nan(self, n):
         assert lp_norm(np.zeros(n), 2.0) == 0.0
@@ -467,6 +478,10 @@ class TestSamplePairs:
         for pr in sample_pairs(sp, 8, seed=3):
             pr.validate(sp)
 
+    def test_rejects_no_pairs(self):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            sample_pairs(hilbert(2), 0, seed=0)
+
 
 class TestHolderConsistency:
     @settings(max_examples=30, deadline=None)
@@ -508,6 +523,16 @@ class TestDescriptorConstruction:
     def test_r_must_be_a_real_number(self, r):
         with pytest.raises(InvalidDescriptor, match="r must be a number"):
             LpNorm(r)
+
+    @pytest.mark.parametrize("r", [0.5, 0.0, -math.inf, math.nan])
+    def test_r_below_one_rejected(self, r):
+        with pytest.raises(InvalidDescriptor, match="l_r norm needs r >= 1"):
+            LpNorm(r)
+
+    @pytest.mark.parametrize("field", ["quaternion", "Complex", None])
+    def test_unknown_field_rejected(self, field):
+        with pytest.raises(InvalidDescriptor, match="unknown field"):
+            SpaceDescriptor(field, 2, LpNorm(2.0))
 
     def test_numpy_r(self):
         assert norm_eval(SpaceDescriptor(REAL, 2, LpNorm(np.float64(1.0))), [3.0, -4.0]) == 7.0
@@ -576,6 +601,18 @@ class TestPolyhedralDescriptor:
         prim, dual = (broken, cross) if side == "primal" else (square, broken)
         with pytest.raises(InvalidDescriptor, match=f"{side} extremes must be finite"):
             SpaceDescriptor(field=REAL, dim=2, norm=Polyhedral(tuple(map(tuple, prim)), tuple(map(tuple, dual))))
+
+    @pytest.mark.parametrize("prim, dual", [((), _CROSS), (_SQUARE, ())], ids=["primal", "dual"])
+    def test_empty_extreme_list_rejected(self, prim, dual):
+        with pytest.raises(InvalidDescriptor, match="extreme lists must be nonempty"):
+            SpaceDescriptor(field=REAL, dim=2, norm=Polyhedral(prim, dual))
+
+    @pytest.mark.parametrize(
+        "dim, prim, dual, side", [(3, _SQUARE, _UNITS3, "primal"), (2, _SQUARE, _UNITS3, "dual")], ids=["primal", "dual"]
+    )
+    def test_extremes_of_the_wrong_dimension_rejected(self, dim, prim, dual, side):
+        with pytest.raises(InvalidDescriptor, match=f"{side} extreme of wrong dimension"):
+            SpaceDescriptor(field=REAL, dim=dim, norm=Polyhedral(prim, dual))
 
     def test_ragged_extremes_rejected(self):
         with pytest.raises(InvalidDescriptor):
@@ -693,6 +730,13 @@ class TestJsonRoundtrip:
     def test_malformed_field(self, edit):
         with pytest.raises(InvalidDescriptor):
             space_from_json({"field": "real", "dim": 2, "norm": {"kind": "lp", "r": 2}, **edit})
+
+    @pytest.mark.parametrize("key", ["field", "dim", "norm"])
+    def test_missing_key(self, key):
+        obj = {"field": "real", "dim": 2, "norm": {"kind": "lp", "r": 2}}
+        del obj[key]
+        with pytest.raises(InvalidDescriptor, match=f"missing '{key}'"):
+            space_from_json(obj)
 
     @pytest.mark.parametrize("obj", [None, "space", [1]])
     def test_not_an_object(self, obj):

@@ -7,6 +7,7 @@ import jointradius.subdiff as subdiff_module
 from jointradius import (
     COMPLEX,
     REAL,
+    DimensionMismatch,
     OperatorTuple,
     TupleSubspace,
     ZeroRadius,
@@ -23,6 +24,7 @@ from jointradius import (
     smoothness,
 )
 from jointradius.oracle import MINUS, PLUS
+from jointradius.orth import _admit
 from jointradius.subdiff import SubdiffGenerator, _table, evaluate
 from conftest import hilbert, l1, linf, lr, random_polygon_space, single
 
@@ -132,8 +134,8 @@ class TestStackedRowsAgainstPerOrbit:
         _assert_close(c, [_orbit_value(a, pr, S).real for a, pr in zip(want_alpha, reps)])
         V = TupleSubspace(tuple(dirs))
         want_rows = [[_orbit_value(a, pr, D) for D in dirs] for a, pr in zip(want_alpha, reps)]
-        _assert_close(evaluate(_table(T, rr), V.basis), want_rows)
-        _assert_close(evaluate(_table(T, rr), dirs), want_rows)
+        _assert_close(evaluate(_table(T, rr), _admit(T, V)), want_rows)
+        _assert_close(evaluate(_table(T, rr), np.stack([D.matrices for D in dirs])), want_rows)
         assert apply(gens[-1], S) == pytest.approx(want_rows[-1][0], rel=1e-14)
 
     @pytest.mark.parametrize("c", [1.0, 1e150, 1e-150])
@@ -222,10 +224,10 @@ class TestGeneratorTable:
     def test_apply_is_the_one_row_evaluate(self, case):
         # bit for bit against the generator's own row of the table and its row of the stacked table
         T, sp, rr, dirs = _orbit_problems()[case]
-        table = _table(T, rr)
-        stacked = evaluate(table, dirs)
+        table, B = _table(T, rr), np.stack([S.matrices for S in dirs])
+        stacked = evaluate(table, B)
         for k, g in enumerate(generators(T, sp, rr)):
-            row = evaluate([a[k : k + 1] for a in table], dirs)[0]
+            row = evaluate([a[k : k + 1] for a in table], B)[0]
             assert [apply(g, S) for S in dirs] == row.tolist() == stacked[k].tolist()
 
 
@@ -243,6 +245,15 @@ class TestApply:
         g = generators(T, sp, rr)[0]
         S = single(np.array([[0.0, 1j], [0.0, 0.0]]), field=COMPLEX)
         assert isinstance(apply(g, S), complex)
+
+    @pytest.mark.parametrize("S", [single(np.eye(3)), OperatorTuple((np.eye(2), np.eye(2)))], ids=["n", "d"])
+    def test_dimension_mismatch(self, S):
+        # a tuple of another n, or another d (which alpha would broadcast against), is refused
+        sp = linf(2)
+        T = single(np.diag([1.0, 0.0]))
+        g = generators(T, sp, radius_exact(T, sp))[0]
+        with pytest.raises(DimensionMismatch, match="generator dimension does not match the tuple"):
+            apply(g, S)
 
 
 class TestGateauxOneSided:
