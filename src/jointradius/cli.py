@@ -52,12 +52,15 @@ def parse(path: str, p_override: float | None = None) -> ProblemFile:
     if not (isinstance(raw, dict) and all(isinstance(raw.get(k), dict) for k in ("space", "tuple"))):
         raise InvalidDescriptor("problem file must be an object with 'space' and 'tuple' objects")
     space = space_from_json(raw["space"])
-    tup_obj = dict(raw["tuple"])
-    if p_override is not None:
-        tup_obj["p"] = p_override
-    tup = tuple_from_json(tup_obj, field=space.field)
+    tup = _read_tuple(raw["tuple"], space.field, p_override)
     _check_tuple(tup, space)
     return ProblemFile(space, tup, raw)
+
+
+def _read_tuple(obj, field: str, p_override: float | None, default_p: float = 2.0) -> OperatorTuple:
+    """The tuple of a JSON object, its p replaced by --p when that is given."""
+    obj = {**obj, "p": p_override} if p_override is not None and isinstance(obj, dict) else obj
+    return tuple_from_json(obj, field=field, default_p=default_p)
 
 
 def _section(problem: ProblemFile, section: str, flag_path: str | None):
@@ -80,27 +83,27 @@ def _section(problem: ProblemFile, section: str, flag_path: str | None):
     return obj
 
 
-def _compatible_tuple(problem: ProblemFile, obj) -> OperatorTuple:
-    S = tuple_from_json(obj, field=problem.space.field, default_p=problem.tuple.p)
+def _compatible_tuple(problem: ProblemFile, obj, p_override: float | None) -> OperatorTuple:
+    S = _read_tuple(obj, problem.space.field, p_override, default_p=problem.tuple.p)
     problem.tuple._check_compatible(S)
     return S
 
 
 def _second_input(problem: ProblemFile, args):
-    """gateaux's direction, orth's subspace (else its against tuple), each checked against T;
-    None for the other commands."""
+    """gateaux's direction, orth's subspace (else its against tuple), each read with --p and
+    checked against T; None for the other commands."""
     if args.command == "gateaux":
-        return _compatible_tuple(problem, _section(problem, "direction", args.direction))
+        return _compatible_tuple(problem, _section(problem, "direction", args.direction), args.p)
     if args.command != "orth":
         return None
     if args.subspace is None and "subspace" not in problem.raw:
-        direction = _compatible_tuple(problem, _section(problem, "against", args.against))
+        direction = _compatible_tuple(problem, _section(problem, "against", args.against), args.p)
     else:
         obj = _section(problem, "subspace", args.subspace)
         items = obj.get("basis") if isinstance(obj, dict) else obj
         if not isinstance(items, list):
             raise InvalidDescriptor("'subspace' must be a list of tuples or an object with a 'basis' list")
-        direction = TupleSubspace(tuple(_compatible_tuple(problem, it) for it in items))
+        direction = TupleSubspace(tuple(_compatible_tuple(problem, it, args.p) for it in items))
     _admit(problem.tuple, direction)
     return direction
 
@@ -245,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("input", help="problem JSON file")
-    parser.add_argument("--p", type=float, default=None, help="override the aggregation exponent")
+    parser.add_argument("--p", type=float, default=None, help="override the aggregation exponent of every tuple read")
     parser.add_argument("--starts", type=int, default=DEFAULT_STARTS)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=None, help="attaining tolerance")

@@ -2,17 +2,17 @@
 
 On spaces with finite extreme-point lists the supremum over norming pairs
 is attained on the admissible extreme pairs, so enumeration is exact.  One
-array pass scores every pair; only the pairs that can attain become
-NormingPair objects, and `aggregate` re-scores them, so the reported value
-and orbits are its floats.  On smooth l_r spaces the functional is the
-unique duality image of x, making the objective a function of x alone; it
-is maximized by seeded projected gradient ascent on the unit sphere with
-backtracking line search.  Each point the ascent visits is evaluated once:
-the gradient at an accepted candidate reuses that candidate's evaluation.
-A start ends at a zero gradient, after three consecutive accepted steps
-that each gain at most 1e-15 relative (rounding, or a null step that leaves
-x unchanged), when its line search fails after two restarts, or after
-MAX_ITER iterations.
+array pass scores one pair of each sign-mate orbit (v, u), (-v, -u); only
+the pairs that can attain become NormingPair objects, and `aggregate`
+re-scores them, so the reported value and orbits are its floats.  On
+smooth l_r spaces the functional is the unique duality image of x, making
+the objective a function of x alone; it is maximized by seeded projected
+gradient ascent on the unit sphere with backtracking line search.  Each
+point the ascent visits is evaluated once: the gradient at an accepted
+candidate reuses that candidate's evaluation.  A start ends at a zero
+gradient, after three consecutive accepted steps that each gain at most
+1e-15 relative (rounding, or a null step that leaves x unchanged), when its
+line search fails after two restarts, or after MAX_ITER iterations.
 
 The starts run in lockstep as the rows of one array, each with its own
 step, counters and random stream, and each stops by its own rule.  The
@@ -116,7 +116,7 @@ def orbit_dedup(pairs):
     """The founders of the unimodular orbits of the pairs, in input order.
 
     On `AdmissiblePairs` (real extreme pairs) the only mate of (v, u) is (-v, -u), so the orbit
-    id of pair (i, j) is the lower flat index of (i, j) and (neg i, neg j).  Any other sequence,
+    id of table pair t is the lower of t and its stored mate.  Any other sequence,
     such as ascent points, is tested pair by pair: a candidate mates an earlier pair when the
     phase mu aligned on that pair's largest coordinate (a sign on real data) maps it onto the
     candidate within ORBIT_TOL in both components, and each candidate that no earlier founder
@@ -125,8 +125,7 @@ def orbit_dedup(pairs):
     if not pairs:
         return []
     if isinstance(pairs, AdmissiblePairs):
-        m = len(pairs.dual)
-        ids = np.minimum(pairs.rows * m + pairs.cols, pairs.neg_primal[pairs.rows] * m + pairs.neg_dual[pairs.cols])
+        ids = np.minimum(pairs.index, pairs.mate[pairs.index])
         return [pairs[k] for k in np.sort(np.unique(ids, return_index=True)[1]).tolist()]
     X = np.array([pr.x for pr in pairs])
     XS = np.array([pr.x_star for pr in pairs])
@@ -203,22 +202,22 @@ def radius_exact(
     P, D = pairs.primal, pairs.dual
     if T.d * len(D) * len(P) > ENTRY_BUDGET:  # W, refused before it is formed; its gather is no larger
         raise Unsupported(f"the {T.d} x {len(D)} x {len(P)} scores exceed the entry budget {ENTRY_BUDGET}")
-    W = D @ T.matrices @ P.T  # W[i, j, k] = d_j(T_i p_k); the extremes are real
-    vals = lp_norm_rows(W[:, pairs.cols, pairs.rows].T, T.p)
+    stand, scored_primal, at = pairs.scoring  # one pair of each exact mate orbit is scored for both
+    W = D @ T.matrices @ scored_primal.T  # W[i, j, k] = d_j(T_i p_k); the extremes are real
+    vals = lp_norm_rows(np.take(W.reshape(T.d, -1), at, axis=1).T, T.p)  # np.take: ~4x a fancy index
     # Both this pass and aggregate form z_i = x*(T_i x) from two length-n dot
     # products, in different orders, so each is within 2 n eps S of the exact
     # z_i (sqrt(2) more for complex T), with S = n^2 max|T| max|P| max|D|.
     # Their l_p norms of d entries then differ by delta <= 6 n d eps S +
     # 2 (d + 4) eps best, the last term from rounding the two norms, and a
-    # pair that aggregate keeps scores at least best (1 - tol) - 2 delta here.
-    # The slack covers 2 delta, the rounding of both cuts, and (tiny term)
-    # underflow, whose rounding is absolute.
+    # pair that aggregate keeps, or the exact negation scored for it, scores at least
+    # best (1 - tol) - 2 delta here.  The slack covers 2 delta, the rounding of both
+    # cuts, and (tiny term) underflow, whose rounding is absolute.
     n, d = T.n, T.d
     S = n * n * T.max_entry() * np.abs(P).max() * np.abs(D).max()
     best = vals.max()
     slack = 16 * np.finfo(float).eps * (n * d * S + (d + 2) * best) + n * d * np.finfo(float).tiny
-    window = np.flatnonzero(vals >= best - attain_tol * best - slack)
-    pairs = pairs.at(window)
+    pairs = pairs.at(np.flatnonzero(vals[stand] >= best - attain_tol * best - slack))
     return _result([aggregate(T, pr) for pr in pairs], pairs, EXACT_ENUMERATION, T, attain_tol)
 
 

@@ -337,17 +337,20 @@ def duality_map(space: SpaceDescriptor, x) -> list[NormingPair]:
 
 
 class AdmissiblePairs(Sequence):
-    """The admissible extreme pairs (primal[rows[k]], dual[cols[k]]), k < len(rows); the mate
-    (-v, -u) of pair (i, j) is (neg_primal[i], neg_dual[j]).
+    """The admissible extreme pairs (primal[rows[k]], dual[cols[k]]), pairs index[k] of their table.
+    Extreme i negates to neg_primal[i] (neg_dual); table pair t's mate (-v, -u) is mate[t], or t.
+    `scoring` is the exact radius's plan: it scores pairs t <= mate[t] and those whose mate is not
+    their exact negation; the score of pair stand[t] of those stands for t; their m primal extremes;
+    and each one's flat index j m + q (dual extreme j, q-th of those primal extremes).
 
     `at(idx)` is the subset of the indices idx.  Access goes through one list
     of NormingPairs, built on first access or shared with the set a subset is
     taken from, so repeated access returns the same objects.
     """
 
-    def __init__(self, primal, dual, rows, cols, neg_primal, neg_dual):
+    def __init__(self, primal, dual, rows, cols, neg_primal, neg_dual, mate, index, *scoring):
         self.primal, self.dual, self.rows, self.cols = primal, dual, rows, cols
-        self.neg_primal, self.neg_dual = neg_primal, neg_dual
+        self.neg_primal, self.neg_dual, self.mate, self.index, self.scoring = neg_primal, neg_dual, mate, index, scoring
         self._pairs = None
 
     def __len__(self) -> int:
@@ -369,7 +372,8 @@ class AdmissiblePairs(Sequence):
         return iter(self[:])
 
     def at(self, idx) -> "AdmissiblePairs":
-        sub = AdmissiblePairs(self.primal, self.dual, self.rows[idx], self.cols[idx], self.neg_primal, self.neg_dual)
+        rest = self.neg_primal, self.neg_dual, self.mate, self.index[idx], *self.scoring
+        sub = AdmissiblePairs(self.primal, self.dual, self.rows[idx], self.cols[idx], *rest)
         if self._pairs is not None:
             sub._pairs = [self._pairs[k] for k in np.arange(len(self))[idx].tolist()]
         return sub
@@ -385,23 +389,32 @@ def _negations(space: SpaceDescriptor, primal: np.ndarray, dual: np.ndarray):
     return (units, signs) if space.norm.r == 1 else (signs, units)
 
 
-# space -> read-only (primal, dual, rows, cols, neg_primal, neg_dual); an entry lives as long as its key space does
+# space -> the read-only arrays of its `AdmissiblePairs`; an entry lives as long as its key space does
 _PAIR_TABLES = weakref.WeakKeyDictionary()
 
 
 def admissible_pairs(space: SpaceDescriptor) -> AdmissiblePairs:
     """All extreme pairs (x, x*) with x*(x) = 1; exact basis for the radius.
 
-    Returns an `AdmissiblePairs` sequence, primal-major: all functionals of
-    the first primal extreme, then those of the second, and so on, each in
-    the order of the dual extremes.  The arrays are built once per space
-    value, shared read-only by equal spaces, and wrapped afresh per call.
+    Returns an `AdmissiblePairs` sequence, primal-major: all functionals of the first primal
+    extreme, then those of the second, and so on, each in the order of the dual extremes.  A dense
+    primal x dual index map gives each pair t its mate, or t where (-v, -u) is not admissible.  The
+    arrays are built once per space value, shared read-only by equal spaces, and wrapped afresh per call.
     """
     table = _PAIR_TABLES.get(space)
     if table is None:
         primal, dual = extreme_points(space)
         rows, cols = np.nonzero(np.abs(primal @ dual.T - 1.0) <= DESCRIPTOR_TOL)
-        table = _PAIR_TABLES[space] = (primal, dual, rows, cols, *_negations(space, primal, dual))
+        (neg_p, neg_d), index = _negations(space, primal, dual), np.arange(len(rows))
+        at = np.full((len(primal), len(dual)), -1)
+        at[rows, cols] = index
+        mate = np.where((m := at[neg_p[rows], neg_d[cols]]) < 0, index, m)
+        exact = (primal[neg_p] == -primal).all(axis=1)[rows] & (dual[neg_d] == -dual).all(axis=1)[cols]
+        scored = (index <= mate) | ~exact
+        lead = np.flatnonzero(scored)
+        prim, pos = np.unique(rows[lead], return_inverse=True)
+        scoring = (np.cumsum(scored) - 1)[np.where(scored, index, mate)], primal[prim], cols[lead] * len(prim) + pos
+        table = _PAIR_TABLES[space] = (primal, dual, rows, cols, neg_p, neg_d, mate, index, *scoring)
         for a in table:
             a.setflags(write=False)
     return AdmissiblePairs(*table)

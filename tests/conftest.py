@@ -7,6 +7,7 @@ from scipy.spatial import ConvexHull
 from jointradius import (
     COMPLEX,
     REAL,
+    InvalidDescriptor,
     LpNorm,
     OperatorTuple,
     Polyhedral,
@@ -107,6 +108,19 @@ def extreme_spaces(rng: np.random.Generator) -> list:
 def without_pair(E: np.ndarray, k: int) -> np.ndarray:
     """The rows of E other than +-E[k]."""
     return E[[not (np.allclose(e, E[k]) or np.allclose(e, -E[k])) for e in E]]
+
+
+def off_negation_hexagon(rng: np.random.Generator) -> SpaceDescriptor:
+    """The regular hexagon with the negated halves of both extreme lists moved by 2e-13 to 6e-13
+    in each coordinate, so that each list closes under negation only within DESCRIPTOR_TOL."""
+    s, t = np.sqrt(3.0) / 2, 1 / np.sqrt(3.0)
+    V, U = np.array([(1.0, 0.0), (0.5, s), (-0.5, s)]), np.array([(1.0, t), (0.0, 2 * t), (-1.0, t)])
+    while True:
+        off = rng.uniform(2e-13, 6e-13, (2, 3, 2)) * rng.choice([-1.0, 1.0], (2, 3, 2))
+        try:
+            return SpaceDescriptor(REAL, 2, Polyhedral(np.vstack([V, off[0] - V]), np.vstack([U, off[1] - U])))
+        except InvalidDescriptor:  # a moved pair left the unit tolerance; draw again
+            continue
 
 
 def near_duplicate_polygon(eps: float = 1e-7):

@@ -7,8 +7,10 @@ import shlex
 import pytest
 
 import jointradius.oracle
+from jointradius import COMPLEX, REAL, TupleSubspace, gateaux_one_sided, orth_scalar, orth_subspace, radius
 from jointradius import cli
 from jointradius.cli import main
+from jointradius.optuples import tuple_from_json
 from conftest import near_duplicate_polygon
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -78,6 +80,63 @@ class TestRadiusCommand:
             assert code == 0
             counts.append(len(json.loads(out)["orbits"]))
         assert counts[1] > counts[0]
+
+
+def _tuple_at_p(path, section, field, p):
+    """The tuple under `section` of a JSON file (the whole file when it has no such key), at exponent p."""
+    with open(path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    return tuple_from_json({**obj.get(section, obj), "p": p}, field=field)
+
+
+class TestPOverride:
+    """--p sets the exponent of every tuple a command reads, not only the problem's."""
+
+    def test_gateaux_direction(self, capsys):
+        code, out, err = run(
+            capsys, "gateaux", prob("hilbert_smooth.json"), "--direction", prob("identity2.json"), "--starts", "8", "--p", "3"
+        )
+        assert code == 0, err
+        space = cli.parse(prob("hilbert_smooth.json")).space
+        T, S = (_tuple_at_p(prob(name), "tuple", COMPLEX, 3.0) for name in ("hilbert_smooth.json", "identity2.json"))
+        rep = gateaux_one_sided(T, S, space, radius(T, space, starts=8))
+        assert json.loads(out) == {
+            "g_plus": rep.g_plus, "g_minus": rep.g_minus, "c_values": list(rep.c_values), "exhaustive": rep.exhaustive
+        }
+
+    def test_orth_against_tuple(self, capsys, monkeypatch):
+        monkeypatch.chdir(ROOT)  # "against" references a repo-relative path
+        code, out, err = run(capsys, "orth", prob("orth_case.json"), "--starts", "8", "--p", "3")
+        assert code == 0, err
+        space = cli.parse(prob("orth_case.json")).space
+        T, S = (_tuple_at_p(prob(name), "tuple", COMPLEX, 3.0) for name in ("orth_case.json", "identity2.json"))
+        res = orth_scalar(T, S, space, radius(T, space, starts=8))
+        data = json.loads(out)
+        assert (data["orthogonal"], data["approximate"]) == (res.orthogonal, res.approximate)
+        assert data["certificate"]["residual"] == res.certificate.residual
+        assert [(w["orbit_index"], w["t"]) for w in data["certificate"]["weights"]] == list(res.certificate.weights)
+
+    def test_orth_subspace_basis(self, capsys, tmp_path):
+        basis = [{"d": 1, "p": 2, "matrices": [[[0, 1], [0, 0]]]}, {"d": 1, "p": 2, "matrices": [[[0, 0], [1, 1]]]}]
+        tup = {"d": 1, "p": 2, "matrices": [[[1, 0], [0, -1]]]}
+        path = write_problem(tmp_path, {"space": LINF2, "tuple": tup, "subspace": basis})
+        code, out, err = run(capsys, "orth", path, "--p", "3")
+        assert code == 0, err
+        space = cli.parse(path).space
+        T = tuple_from_json({**tup, "p": 3}, field=REAL)
+        V = TupleSubspace(tuple(tuple_from_json({**b, "p": 3}, field=REAL) for b in basis))
+        res = orth_subspace(T, V, space, radius(T, space))
+        data = json.loads(out)
+        assert (data["orthogonal"], data["approximate"]) == (res.orthogonal, res.approximate)
+        cert = data["certificate"]
+        assert cert == (
+            None
+            if res.certificate is None
+            else {
+                "residual": res.certificate.residual,
+                "weights": [{"orbit_index": j, "t": t} for j, t in res.certificate.weights],
+            }
+        )
 
 
 class TestOtherCommands:

@@ -1,5 +1,7 @@
+import gc
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -12,9 +14,12 @@ from jointradius import (
     DimensionMismatch,
     NormingPair,
     OperatorTuple,
+    Polyhedral,
+    SpaceDescriptor,
     Unsupported,
     admissible_pairs,
     aggregate,
+    extreme_points,
     orbit_dedup,
     radius,
     radius_exact,
@@ -26,6 +31,7 @@ from jointradius import (
     smoothness,
 )
 from jointradius.radius import (
+    ATTAIN_TOL_EXACT,
     DEFAULT_STARTS,
     EXACT_ENUMERATION,
     MAX_ITER,
@@ -37,14 +43,27 @@ from jointradius.radius import (
     _result,
 )
 from jointradius.spaces import (
+    DESCRIPTOR_TOL,
+    _PAIR_TABLES,
     _gaussian,
     _signed_power,
     lp_norm,
+    lp_norm_rows,
     norm_eval,
     random_unit_vector,
     smooth_duality_vector,
 )
-from conftest import extreme_spaces, hilbert, l1, linf, lr, random_polygon_space, single
+from conftest import (
+    extreme_spaces,
+    hilbert,
+    l1,
+    linf,
+    lr,
+    off_negation_hexagon,
+    random_polygon_space,
+    random_polytope,
+    single,
+)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -163,6 +182,94 @@ class TestWindowedScoring:
         rr = radius_exact(single(np.eye(4)), linf(4))
         assert len(calls) == len(admissible_pairs(linf(4))) == 64
         assert len(rr.attaining.orbits) == 32
+
+
+def _full_pass_exact(T, space, attain_tol=ATTAIN_TOL_EXACT):
+    """radius_exact as one array pass over every admissible pair gave it, built from the extremes
+    alone (no pair table): the window of that pass, `aggregate` on the window, and one orbit per
+    lower flat index of (i, j) and (neg i, neg j), neg the nearest negation.
+
+    Returns the value and each orbit's (value, x bytes, x* bytes), founders in pair order.
+    """
+    P, D = extreme_points(space)
+    rows, cols = np.nonzero(np.abs(P @ D.T - 1.0) <= DESCRIPTOR_TOL)
+    vals = lp_norm_rows((D @ T.matrices @ P.T)[:, cols, rows].T, T.p)
+    n, d, eps = T.n, T.d, np.finfo(float).eps
+    S = n * n * T.max_entry() * np.abs(P).max() * np.abs(D).max()
+    best = vals.max()
+    slack = 16 * eps * (n * d * S + (d + 2) * best) + n * d * np.finfo(float).tiny
+    window = np.flatnonzero(vals >= best - attain_tol * best - slack)
+    values = [aggregate(T, NormingPair(P[rows[k]], D[cols[k]])) for k in window]
+    best = max(values)
+    neg_p, neg_d = (np.argmin(np.abs(E[:, None, :] + E[None, :, :]).max(axis=2), axis=1) for E in (P, D))
+    orbits = {}
+    for k, v in zip(window.tolist(), values):
+        i, j = rows[k], cols[k]
+        if v >= best - attain_tol * max(best, 0.0):
+            orbits.setdefault(min(i * len(D) + j, neg_p[i] * len(D) + neg_d[j]), (v, P[i].tobytes(), D[j].tobytes()))
+    return best, list(orbits.values())
+
+
+def _mate_corpus(rng):
+    """(T, space): random real l_1/l_inf tuples (n 2-8, d 1-3), signed permutations, the zero
+    tuple, a tuple with a zero row, random polygons, and a hexagon whose extreme lists close
+    under negation only within 2e-13 to 6e-13."""
+    out = [
+        (OperatorTuple(rng.standard_normal((1 + n % 3, n, n)), p=(1.3, 2.0, 3.7)[n % 3]), make(n))
+        for n in range(2, 9)
+        for make in (linf, l1)
+    ]
+    for n in (3, 5):
+        mats = np.array([np.diag(rng.choice([-1.0, 1.0], n))[rng.permutation(n)] for _ in range(2)])
+        out += [(OperatorTuple(mats, p=3.0), make(n)) for make in (linf, l1)]
+    zero_row = rng.standard_normal((2, 4, 4))
+    zero_row[0, 2] = 0.0
+    for mats in (np.zeros((2, 4, 4)), zero_row):
+        out += [(OperatorTuple(mats, p=2.5), make(4)) for make in (linf, l1)]
+    polygons = [random_polygon_space(rng, vertices=k) for k in (3, 5, 8)] + [off_negation_hexagon(rng)]
+    out += [(OperatorTuple(rng.standard_normal((2, 2, 2)), p=1.7), sp) for sp in polygons]
+    # (I, diag(1, -1)) ties several orbits of the exact hexagon at the maximum; on the moved
+    # hexagon a pair and its mate differ by up to 1e-12 relative, so neither may stand for the other
+    ties = np.array([np.eye(2), np.diag([1.0, -1.0])])
+    out += [(OperatorTuple(ties, p=(1.5, 2.0, 3.0)[k % 3]), off_negation_hexagon(rng)) for k in range(24)]
+    return out
+
+
+class TestMateScoring:
+    """radius_exact scores one pair of each mate orbit; the answer must be the full pass's, bit for bit."""
+
+    @pytest.mark.parametrize("tol", [0.0, ATTAIN_TOL_EXACT, 1e-6, 0.5])
+    def test_matches_the_full_pass(self, rng, tol):
+        for T, sp in _mate_corpus(rng):
+            rr = radius_exact(T, sp, attain_tol=tol)
+            value, orbits = _full_pass_exact(T, sp, tol)
+            assert rr.value == value
+            assert _orbit_bytes(rr.attaining) == orbits
+
+    def test_answers_survive_freed_tables(self, rng):
+        # each space is dropped after its solve, so its pair table is freed and the next table,
+        # of the same shape or another, may reuse that memory; a random polyhedral space is held
+        # by nothing else
+        for _ in range(3):
+            for make in (
+                lambda: random_polygon_space(rng, vertices=5),
+                lambda: random_polygon_space(rng, vertices=5),
+                lambda: l1(int(rng.integers(2, 7))),
+                lambda: SpaceDescriptor(field=REAL, dim=3, norm=Polyhedral(*random_polytope(rng))),
+                lambda: random_polygon_space(rng, vertices=int(rng.integers(3, 9))),
+                lambda: linf(int(rng.integers(2, 7))),
+                lambda: off_negation_hexagon(rng),
+            ):
+                sp = make()
+                T = OperatorTuple(rng.standard_normal((2, sp.dim, sp.dim)), p=2.5)
+                rr = radius_exact(T, sp)
+                assert (rr.value, _orbit_bytes(rr.attaining)) == _full_pass_exact(T, sp)
+                twin, gone = SpaceDescriptor(sp.field, sp.dim, sp.norm), weakref.ref(sp)
+                del sp, rr
+                gc.collect()
+                assert gone() is None
+                if isinstance(twin.norm, Polyhedral):
+                    assert twin not in _PAIR_TABLES
 
 
 class TestRadiusSmooth:

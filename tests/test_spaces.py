@@ -39,6 +39,7 @@ from conftest import (
     linf,
     lr,
     near_duplicate_polygon,
+    off_negation_hexagon,
     random_polygon_space,
     random_polytope,
     without_pair,
@@ -362,6 +363,42 @@ class TestAdmissiblePairs:
             for sub in (pairs, pairs.at(np.arange(len(pairs))[::2])):
                 assert sub.neg_primal is pairs.neg_primal and sub.neg_dual is pairs.neg_dual
 
+    def test_mates(self, rng):
+        # mate is an involution, and mate[k] is the pair (neg i, neg j) where that pair is admissible
+        for sp in extreme_spaces(rng) + [off_negation_hexagon(rng)]:
+            pairs = admissible_pairs(sp)
+            rows, cols = pairs.rows.tolist(), pairs.cols.tolist()
+            where = {ij: k for k, ij in enumerate(zip(rows, cols))}
+            negs = [(pairs.neg_primal[i], pairs.neg_dual[j]) for i, j in zip(rows, cols)]
+            np.testing.assert_array_equal(pairs.mate, [where.get(ij, k) for k, ij in enumerate(negs)])
+            np.testing.assert_array_equal(pairs.mate[pairs.mate], np.arange(len(pairs)))
+            np.testing.assert_array_equal(pairs.index, np.arange(len(pairs)))
+            idx = rng.permutation(len(pairs))[::3]
+            sub = pairs.at(idx)
+            assert sub.mate is pairs.mate and all(a is b for a, b in zip(sub.scoring, pairs.scoring))
+            np.testing.assert_array_equal(sub.index, idx)
+            np.testing.assert_array_equal(sub.at(np.arange(len(sub))[::-2]).index, idx[::-2])
+
+    def test_scoring_plan(self, rng):
+        for sp in extreme_spaces(rng) + [off_negation_hexagon(rng)]:
+            pairs = admissible_pairs(sp)
+            P, D, rows, cols, mate = pairs.primal, pairs.dual, pairs.rows, pairs.cols, pairs.mate
+            stand, scored_primal, at = pairs.scoring
+            k = np.arange(len(pairs))
+            exact = (P[rows[mate]] == -P[rows]).all(axis=1) & (D[cols[mate]] == -D[cols]).all(axis=1)
+            lead = np.flatnonzero(~exact | (k <= mate))
+            # of a mate orbit whose pairs are exact negations the lower pair is scored for both;
+            # every other pair is scored for itself
+            np.testing.assert_array_equal(lead[stand], np.where(exact & (mate < k), mate, k))
+            # flat index j * m + q of each scored pair (i, j): scored_primal[q] is extreme i
+            j, q = np.divmod(at, len(scored_primal))
+            np.testing.assert_array_equal(j, cols[lead])
+            np.testing.assert_array_equal(scored_primal[q], P[rows[lead]])
+            if isinstance(sp.norm, LpNorm):  # exact negations: half of each
+                assert 2 * len(at) == len(pairs) and 2 * len(scored_primal) == len(P)
+        hexagon = admissible_pairs(off_negation_hexagon(rng))
+        assert len(hexagon.scoring[2]) == len(hexagon)  # no mate is an exact negation
+
 
 class TestPairTable:
     """The pair table is built once per space value and shared read-only."""
@@ -371,10 +408,12 @@ class TestPairTable:
         spaces = make(3), make(3)  # kept alive: the entry lives as long as its key space
         a, b = map(admissible_pairs, spaces)
         assert a is not b
-        for name in ("primal", "dual", "rows", "cols"):
+        for name in ("primal", "dual", "rows", "cols", "neg_primal", "neg_dual", "mate", "index"):
             arr = getattr(a, name)
             assert arr is getattr(b, name)
             assert not arr.flags.writeable
+        for arr, other in zip(a.scoring, b.scoring):
+            assert arr is other and not arr.flags.writeable
 
     def test_pair_vectors_are_read_only(self):
         pr = admissible_pairs(linf(2))[0]
