@@ -91,16 +91,13 @@ def _require_positive(rr: RadiusResult) -> None:
         raise ZeroRadius("operation requires a positive joint radius")
 
 
-_PAIR_CHUNK = 1 << 15  # candidate pairs tested per array operation
-
-
-def _mates(X, XS, K, lead, f, c) -> np.ndarray:
-    """Whether candidate c is within ORBIT_TOL of a unimodular multiple of founder f, per entry.
+def _mates(X, XS, K, f, c) -> np.ndarray:
+    """Whether each pair c is within ORBIT_TOL of a unimodular multiple of founder f.
 
     The phase mu = b conj(a) / |b conj(a)| aligns the founder's largest
     coordinate a with the candidate's b; on real data it is the sign of ab.
     """
-    a, b = lead[f], X[c, K[f]]
+    a, b = X[f, K[f]], X[c, K[f]]
     mu = b * np.conj(a)
     mod = np.abs(mu)
     ok = (np.abs(b) >= 1e-300) & (mod >= 1e-300)
@@ -116,11 +113,11 @@ def orbit_dedup(pairs):
     """The founders of the unimodular orbits of the pairs, in input order.
 
     On `AdmissiblePairs` (real extreme pairs) the only mate of (v, u) is (-v, -u), so the orbit
-    id of table pair t is the lower of t and its stored mate.  Any other sequence,
-    such as ascent points, is tested pair by pair: a candidate mates an earlier pair when the
-    phase mu aligned on that pair's largest coordinate (a sign on real data) maps it onto the
-    candidate within ORBIT_TOL in both components, and each candidate that no earlier founder
-    mates founds an orbit.
+    id of table pair t is the lower of t and its stored mate.  Any other sequence, such as
+    ascent points, is grouped one founder at a time: the first remaining pair founds an orbit,
+    and one `_mates` test removes from the rest each pair that the phase mu aligned on the
+    founder's largest coordinate (a sign on real data) maps onto it within ORBIT_TOL in both
+    components.  A pair is thus a founder exactly when no earlier founder mates it.
     """
     if not pairs:
         return []
@@ -129,21 +126,13 @@ def orbit_dedup(pairs):
         return [pairs[k] for k in np.sort(np.unique(ids, return_index=True)[1]).tolist()]
     X = np.array([pr.x for pr in pairs])
     XS = np.array([pr.x_star for pr in pairs])
-    N = len(pairs)
     K = np.argmax(np.abs(X), axis=1)
-    lead = X[np.arange(N), K]  # each pair's own largest coordinate
-    founder = np.ones(N, dtype=bool)  # final for every pair before the current pass
-    step = max(1, _PAIR_CHUNK // N)  # candidates per pass, each against every earlier founder
-    for lo in range(1, N, step):
-        hi = min(N, lo + step)
-        c, f = np.nonzero(np.tri(hi - lo, hi, lo - 1, dtype=bool) & founder[:hi])
-        c += lo
-        ok = _mates(X, XS, K, lead, f, c)
-        # in candidate order, so a founder's status is final before it is read
-        for fi, ci in zip(f[ok].tolist(), c[ok].tolist()):
-            if founder[fi]:
-                founder[ci] = False
-    return [pr for pr, keep in zip(pairs, founder.tolist()) if keep]
+    founders, rest = [], np.arange(len(pairs))
+    while rest.size:
+        f, rest = rest[0], rest[1:]
+        founders.append(pairs[f])
+        rest = rest[~_mates(X, XS, K, f, rest)]
+    return founders
 
 
 def _check_attain_tol(rel_tol: float) -> None:

@@ -338,7 +338,7 @@ def duality_map(space: SpaceDescriptor, x) -> list[NormingPair]:
 
 class AdmissiblePairs(Sequence):
     """The admissible extreme pairs (primal[rows[k]], dual[cols[k]]), pairs index[k] of their table.
-    Extreme i negates to neg_primal[i] (neg_dual); table pair t's mate (-v, -u) is mate[t], or t.
+    Table pair t's mate (-v, -u) is mate[t], or t where (-v, -u) is not admissible.
     `scoring` is the exact radius's plan: it scores pairs t <= mate[t] and those whose mate is not
     their exact negation; the score of pair stand[t] of those stands for t; their m primal extremes;
     and each one's flat index j m + q (dual extreme j, q-th of those primal extremes).
@@ -348,9 +348,9 @@ class AdmissiblePairs(Sequence):
     taken from, so repeated access returns the same objects.
     """
 
-    def __init__(self, primal, dual, rows, cols, neg_primal, neg_dual, mate, index, *scoring):
+    def __init__(self, primal, dual, rows, cols, mate, index, *scoring):
         self.primal, self.dual, self.rows, self.cols = primal, dual, rows, cols
-        self.neg_primal, self.neg_dual, self.mate, self.index, self.scoring = neg_primal, neg_dual, mate, index, scoring
+        self.mate, self.index, self.scoring = mate, index, scoring
         self._pairs = None
 
     def __len__(self) -> int:
@@ -372,7 +372,7 @@ class AdmissiblePairs(Sequence):
         return iter(self[:])
 
     def at(self, idx) -> "AdmissiblePairs":
-        rest = self.neg_primal, self.neg_dual, self.mate, self.index[idx], *self.scoring
+        rest = self.mate, self.index[idx], *self.scoring
         sub = AdmissiblePairs(self.primal, self.dual, self.rows[idx], self.cols[idx], *rest)
         if self._pairs is not None:
             sub._pairs = [self._pairs[k] for k in np.arange(len(self))[idx].tolist()]
@@ -414,7 +414,7 @@ def admissible_pairs(space: SpaceDescriptor) -> AdmissiblePairs:
         lead = np.flatnonzero(scored)
         prim, pos = np.unique(rows[lead], return_inverse=True)
         scoring = (np.cumsum(scored) - 1)[np.where(scored, index, mate)], primal[prim], cols[lead] * len(prim) + pos
-        table = _PAIR_TABLES[space] = (primal, dual, rows, cols, neg_p, neg_d, mate, index, *scoring)
+        table = _PAIR_TABLES[space] = (primal, dual, rows, cols, mate, index, *scoring)
         for a in table:
             a.setflags(write=False)
     return AdmissiblePairs(*table)

@@ -890,6 +890,17 @@ def _assert_same_founders(pairs, field):
     return got
 
 
+def _one_orbit(field, size, rng, within=0.0, pair=None):
+    """Unimodular multiples (signs on real data) of one ascent point, each component moved by at most `within`."""
+    pr = pair or sample_pairs(lr(3, 3.0, field), 1, seed=5)[0]
+    if field == REAL:
+        mus = rng.choice([-1.0, 1.0], size)
+    else:
+        mus = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size))
+    moves = rng.uniform(-1.0, 1.0, (size, 2, 3)) * (within / np.sqrt(3.0))
+    return [NormingPair(mu * pr.x + dx, mu * pr.x_star + dxs) for mu, (dx, dxs) in zip(mus, moves)]
+
+
 def _signed_pairs(n, rng):
     """Admissible pairs of real l_inf(n) (sign vector s, unit s_k e_k), shuffled."""
     pairs = admissible_pairs(linf(n))
@@ -1011,6 +1022,38 @@ class TestOrbitDedupAgainstPairwise:
                 pairs.append(NormingPair(np.exp(1j * theta) * x, np.exp(1j * theta) * x))
         pairs = [pairs[i] for i in rng.permutation(len(pairs))]
         assert len(_assert_same_founders(pairs, COMPLEX)) == len(psis)
+
+    # Sets of 200-400 ascent points (x, the duality image of x), real and complex.
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("size", [200, 400])
+    def test_one_orbit_of_many_points(self, rng, field, size):
+        pairs = _one_orbit(field, size, rng, within=1e-9)
+        assert _assert_same_founders(pairs, field) == [pairs[0]]
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_many_orbits_of_many_points(self, rng, field):
+        # 60 orbits of 5 points each, shuffled, then 200 points in 200 orbits
+        base = sample_pairs(lr(3, 3.0, field), 60, seed=6)
+        pairs = [pr for b in base for pr in _one_orbit(field, 5, rng, within=1e-9, pair=b)]
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        assert len(_assert_same_founders(pairs, field)) == len(base)
+        distinct = sample_pairs(lr(3, 1.5, field), 200, seed=8)
+        assert len(_assert_same_founders(distinct, field)) == len(distinct)
+
+    @pytest.mark.parametrize("size", [8, 200, 2000])
+    def test_one_orbit_costs_one_mates_test(self, rng, monkeypatch, size):
+        module = sys.modules["jointradius.radius"]
+        mates, tested = module._mates, []
+
+        def counted(X, XS, K, f, c):
+            tested.append((int(f), len(c)))
+            return mates(X, XS, K, f, c)
+
+        monkeypatch.setattr(module, "_mates", counted)
+        pairs = _one_orbit(COMPLEX, size, rng)
+        assert orbit_dedup(pairs) == [pairs[0]]
+        assert tested == [(0, size - 1)]  # the founder against every other pair, once
 
     def test_empty(self):
         assert orbit_dedup([]) == []

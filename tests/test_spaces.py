@@ -30,7 +30,7 @@ from jointradius import (
     space_from_json,
     space_to_json,
 )
-from jointradius.spaces import ACTIVE_TOL, DESCRIPTOR_TOL, _PAIR_TABLES, AdmissiblePairs, lp_norm, lp_norm_rows
+from jointradius.spaces import ACTIVE_TOL, DESCRIPTOR_TOL, _PAIR_TABLES, AdmissiblePairs, _negations, lp_norm, lp_norm_rows
 from conftest import (
     cuboctahedron,
     extreme_spaces,
@@ -356,12 +356,10 @@ class TestAdmissiblePairs:
         # neg maps each extreme to its negation, within DESCRIPTOR_TOL, and is an involution
         for sp in extreme_spaces(rng):
             pairs = admissible_pairs(sp)
-            for E, neg in ((pairs.primal, pairs.neg_primal), (pairs.dual, pairs.neg_dual)):
+            for E, neg in zip((pairs.primal, pairs.dual), _negations(sp, pairs.primal, pairs.dual)):
                 assert neg.shape == (len(E),)
                 assert np.max(np.abs(E[neg] + E)) <= DESCRIPTOR_TOL
                 np.testing.assert_array_equal(neg[neg], np.arange(len(E)))
-            for sub in (pairs, pairs.at(np.arange(len(pairs))[::2])):
-                assert sub.neg_primal is pairs.neg_primal and sub.neg_dual is pairs.neg_dual
 
     def test_mates(self, rng):
         # mate is an involution, and mate[k] is the pair (neg i, neg j) where that pair is admissible
@@ -369,7 +367,8 @@ class TestAdmissiblePairs:
             pairs = admissible_pairs(sp)
             rows, cols = pairs.rows.tolist(), pairs.cols.tolist()
             where = {ij: k for k, ij in enumerate(zip(rows, cols))}
-            negs = [(pairs.neg_primal[i], pairs.neg_dual[j]) for i, j in zip(rows, cols)]
+            neg_p, neg_d = _negations(sp, pairs.primal, pairs.dual)
+            negs = [(neg_p[i], neg_d[j]) for i, j in zip(rows, cols)]
             np.testing.assert_array_equal(pairs.mate, [where.get(ij, k) for k, ij in enumerate(negs)])
             np.testing.assert_array_equal(pairs.mate[pairs.mate], np.arange(len(pairs)))
             np.testing.assert_array_equal(pairs.index, np.arange(len(pairs)))
@@ -408,12 +407,16 @@ class TestPairTable:
         spaces = make(3), make(3)  # kept alive: the entry lives as long as its key space
         a, b = map(admissible_pairs, spaces)
         assert a is not b
-        for name in ("primal", "dual", "rows", "cols", "neg_primal", "neg_dual", "mate", "index"):
+        for name in ("primal", "dual", "rows", "cols", "mate", "index"):
             arr = getattr(a, name)
             assert arr is getattr(b, name)
             assert not arr.flags.writeable
         for arr, other in zip(a.scoring, b.scoring):
             assert arr is other and not arr.flags.writeable
+        # each (v, u) negates to an admissible pair on l_1 and l_inf, so every mate is (neg v, neg u)
+        neg_p, neg_d = _negations(spaces[0], a.primal, a.dual)
+        np.testing.assert_array_equal(a.rows[a.mate], neg_p[a.rows])
+        np.testing.assert_array_equal(a.cols[a.mate], neg_d[a.cols])
 
     def test_pair_vectors_are_read_only(self):
         pr = admissible_pairs(linf(2))[0]
@@ -697,6 +700,20 @@ class TestPolyhedralDescriptor:
         # list, but max |u(x)| would give (1, 1, 1) / 3 the norm 1 / 3 instead of 1
         with pytest.raises(InvalidDescriptor, match=r"dual extreme \[1.0, 1.0, -1.0\] has 3 admissible partners"):
             SpaceDescriptor(field=REAL, dim=3, norm=Polyhedral(_UNITS3, _SIGNS3[np.abs(_SIGNS3.sum(axis=1)) < 3]))
+
+    # In dim 4 no rule sees a missing facet pair: the l_1(4) ball's dual list without the facets
+    # +-(1, 1, 1, 1) is admitted, norm_eval gives (1, 1, 1, 1) / 4 the norm 0.5 and the radius of
+    # ones(4, 4) is 2.0, where the ball that the units span gives 1 and 4.0.  A cure either
+    # refuses the descriptor or gives the right numbers.
+    @pytest.mark.xfail(strict=True, reason="a missing facet pair passes validation in dim >= 4")
+    def test_missing_facet_pair_in_dim_4(self):
+        units, signs = np.vstack([np.eye(4), -np.eye(4)]), np.array(list(itertools.product([1.0, -1.0], repeat=4)))
+        try:
+            sp = SpaceDescriptor(field=REAL, dim=4, norm=Polyhedral(units, signs[np.abs(signs.sum(axis=1)) < 4]))
+        except InvalidDescriptor:
+            return
+        assert norm_eval(sp, np.full(4, 0.25)) == pytest.approx(1.0)
+        assert radius(OperatorTuple((np.ones((4, 4)),)), sp).value == pytest.approx(4.0)
 
     @pytest.mark.parametrize("name", POLYTOPES3)
     def test_polytopes_admitted_and_every_facet_pair_required(self, name):
