@@ -12,6 +12,7 @@ u(z) = sum_i conj(u_i) z_i, so that on Hilbert space u = x reproduces
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import weakref
@@ -92,7 +93,7 @@ class SpaceDescriptor:
             P, D = extreme_points(self)
         except ValueError as exc:
             raise InvalidDescriptor("extreme points must be numeric vectors of one length") from exc
-        # the largest array below is N x N x dim, N the longer list; refused before any is built
+        # the arrays below up to the edge rule hold N x N x dim entries, N the longer list; refused before any is built
         if max(len(P), len(D)) ** 2 * self.dim > ENTRY_BUDGET:
             raise Unsupported(f"{len(P)} x {len(D)} extremes in dim {self.dim} exceed the entry budget {ENTRY_BUDGET}")
         for E, name in ((P, "primal"), (D, "dual")):
@@ -100,40 +101,39 @@ class SpaceDescriptor:
                 raise InvalidDescriptor(f"{name} extreme of wrong dimension")
             if not np.all(np.isfinite(E)):
                 raise InvalidDescriptor(f"{name} extremes must be finite")
-            # every row v has a row w with v + w = 0
-            gaps = np.max(np.abs(E[:, None, :] + E[None, :, :]), axis=2)
-            if not np.all(np.any(gaps <= DESCRIPTOR_TOL, axis=1)):
+        for E, neg, name in zip((P, D), _negations(self, P, D), ("primal", "dual")):
+            if np.max(np.abs(E + E[neg])) > DESCRIPTOR_TOL:  # the row nearest -v is -v
                 raise InvalidDescriptor(f"{name} extremes not closed under negation")
             # no two rows within ORBIT_TOL (the diagonal holds len(E) zeros): their pairs would merge
-            near = np.linalg.norm(E[:, None, :] - E[None, :, :], axis=2) <= ORBIT_TOL
-            if np.count_nonzero(near) > len(E):
+            if np.count_nonzero(np.linalg.norm(E[:, None, :] - E[None, :, :], axis=2) <= ORBIT_TOL) > len(E):
                 raise InvalidDescriptor(f"two {name} extremes lie within {ORBIT_TOL} of each other")
         G = P @ D.T  # <v, u> for every (v, u), as `admissible_pairs` forms it
-        if np.max(np.abs(np.abs(G).max(axis=1) - 1.0)) > DESCRIPTOR_TOL:
-            raise InvalidDescriptor("primal extremes are not unit vectors of the polyhedral norm")
-        if np.max(np.abs(np.abs(G).max(axis=0) - 1.0)) > DESCRIPTOR_TOL:
-            raise InvalidDescriptor("dual extremes are not unit vectors of the dual norm")
+        for axis, name, norm in ((1, "primal", "polyhedral norm"), (0, "dual", "dual norm")):
+            if np.max(np.abs(np.abs(G).max(axis=axis) - 1.0)) > DESCRIPTOR_TOL:
+                raise InvalidDescriptor(f"{name} extremes are not unit vectors of the {norm}")
         # a vertex lies on dim independent facets: its admissible partners span the space (so both lists do)
         admissible = np.abs(G - 1.0) <= DESCRIPTOR_TOL
-        for E, F, mask, name in ((P, D, admissible, "primal"), (D, P, admissible.T, "dual")):
-            rank = np.linalg.matrix_rank(mask[:, :, None] * F, tol=1e-9)
-            if np.any(rank < self.dim):
-                k = int(np.argmax(rank < self.dim))
-                raise InvalidDescriptor(
-                    f"{name} extreme {E[k].tolist()} is not a vertex: its admissible partners do not span the space"
-                )
-        if self.dim == 3:
-            # a facet is a polygon with as many edges as vertices, and two facets share two or more
-            # vertices only along an edge, which lies on exactly one other facet: a missing facet
-            # (or vertex) leaves its neighbours short
-            shared = admissible.T.astype(np.int64) @ admissible  # common primal partners of two dual extremes
-            short = (shared >= 2).sum(axis=1) - 1 != np.diag(shared)
-            if np.any(short):
-                k = int(np.argmax(short))
-                raise InvalidDescriptor(
-                    f"dual extreme {D[k].tolist()} has {shared[k, k]} admissible partners but not as many"
-                    " neighbouring facets: an extreme of either list is missing"
-                )
+        sides = ((P, D, admissible, "primal"), (D, P, admissible.T, "dual"))
+        for E, F, mask, name in sides:
+            if np.any(low := np.linalg.matrix_rank(mask[:, :, None] * F, tol=1e-9) < self.dim):
+                what = f"{name} extreme {E[np.argmax(low)].tolist()} is not a vertex"
+                raise InvalidDescriptor(f"{what}: its admissible partners do not span the space")
+        # So each row of E is a vertex of F's polar; E lists them all (and F all of E's polar) when each
+        # edge at a row ends at another, as the vertex graph is connected.  A candidate is a row and dim - 1
+        # of its tight partners F[S]: of rank dim - 1, with a null line leaving all the row's tight partners
+        # on one side, S spans an edge, and a second row must be tight on all of S.  Walk the cheaper side.
+        counts = [[math.comb(t, self.dim - 1) for t in mask.sum(axis=1).tolist()] for _, _, mask, _ in sides]
+        (E, F, mask, name), counts = min(zip(sides, counts), key=lambda walk: sum(walk[1]))
+        if sum(counts) * max(len(P), len(D)) > ENTRY_BUDGET:  # arrays of candidates x N (x dim - 1 bools)
+            raise Unsupported(f"{sum(counts)} edge candidates in dim {self.dim} exceed the entry budget {ENTRY_BUDGET}")
+        S = np.array([c for row in mask for c in itertools.combinations(np.flatnonzero(row), self.dim - 1)], np.intp)
+        alone = np.count_nonzero(mask.T[S].all(axis=1), axis=1) < 2  # the row is the only one tight on S
+        k, S = np.repeat(np.arange(len(E)), counts)[alone], S[alone]  # k: the candidate's row
+        _, s, Vt = np.linalg.svd(F[S])  # Vt[:, -1] spans the null line where all dim - 1 values pass 1e-9
+        e_v = np.where(mask[k], Vt[:, -1] @ F.T, 0.0)  # e(v) on the row's tight partners v
+        if np.any(edge := (s > 1e-9).all(axis=1) & ((e_v <= 1e-9).all(axis=1) | (e_v >= -1e-9).all(axis=1))):
+            what = f"{name} extreme {E[k[np.argmax(edge)]].tolist()} has an edge to no other listed extreme"
+            raise InvalidDescriptor(f"{what}: an extreme of either list is missing")
 
     @property
     def is_smooth_lp(self) -> bool:

@@ -67,25 +67,51 @@ def random_polygon_space(rng: np.random.Generator, vertices: int = 4) -> SpaceDe
         )
 
 
-def random_polytope(rng: np.random.Generator) -> tuple:
-    """(primal, dual) extremes of a random centrally symmetric 3-polytope with integer vertices.
+def random_polytope(rng: np.random.Generator, dim: int = 3) -> tuple:
+    """(primal, dual) extremes of a random centrally symmetric polytope in R^dim with integer vertices.
 
-    The dual extremes are the facet functionals: for each triangle of the
-    hull, the u with <u, a> = <u, b> = <u, c> = 1 (coplanar triangles give
-    one u).
+    The dual extremes are the facet functionals: for each simplex of the
+    hull's triangulated facets, the u with <u, v> = 1 on its dim vertices
+    (simplices of one facet give one u).
     """
     while True:
-        pts = rng.integers(-4, 5, (rng.integers(3, 7), 3)).astype(float)
+        pts = rng.integers(-4, 5, (rng.integers(dim, dim + 4), dim)).astype(float)
         pts = np.vstack([pts, -pts])
-        if np.linalg.matrix_rank(pts) == 3:
+        if np.linalg.matrix_rank(pts) == dim:
             break
     hull = ConvexHull(pts)
     U = []
     for simplex in hull.simplices:
-        u = np.linalg.solve(pts[simplex], np.ones(3))
+        u = np.linalg.solve(pts[simplex], np.ones(dim))
         if not any(np.allclose(u, w, rtol=0, atol=1e-9) for w in U):
             U.append(u)
     return pts[hull.vertices], np.array(U)
+
+
+def polar_vertices(P) -> np.ndarray:
+    """The vertices of the polar {u : |u(v)| <= 1 for all v in P} of the symmetric point set P, by brute force.
+
+    Written apart from the library's descriptor check: for every dim-subset
+    of independent rows of P, the u with u(v) = 1 on the subset is kept when
+    max |u(P)| <= 1 + 1e-9; the kept u are deduplicated.
+    """
+    P = np.asarray(P, dtype=float)
+    dim = P.shape[1]
+    A = P[np.array(list(itertools.combinations(range(len(P)), dim)))]
+    A = A[np.linalg.matrix_rank(A) == dim]
+    U = np.linalg.solve(A, np.ones((len(A), dim, 1)))[:, :, 0]
+    U = U[np.abs(U @ P.T).max(axis=1) <= 1 + 1e-9]
+    found = []
+    while len(U):
+        found.append(U[0])
+        U = U[np.abs(U - U[0]).max(axis=1) > 1e-9]
+    return np.array(found)
+
+
+def same_rows(A, B) -> bool:
+    """Whether A and B hold the same rows, in any order, within 1e-9."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    return A.shape == B.shape and bool(np.all(np.abs(A[:, None, :] - B[None, :, :]).max(axis=2).min(axis=1) <= 1e-9))
 
 
 def cuboctahedron() -> tuple:

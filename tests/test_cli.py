@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -44,6 +45,17 @@ class TestRadiusCommand:
         assert data["method"] == "ExactEnumeration"
         assert data["exhaustive"] is True
         assert len(data["orbits"]) == 2
+
+    def test_octahedron_is_l1(self, capsys, tmp_path):
+        # the l_1(3) ball as a polyhedral descriptor gives the bytes of the same tuple on real l_1(3)
+        with open(prob("octahedron_exact.json"), encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj["space"]["norm"] = {"kind": "lp", "r": 1}
+        code, out, _ = run(capsys, "radius", prob("octahedron_exact.json"))
+        assert (code, out) == run(capsys, "radius", write_problem(tmp_path, obj))[:2]
+        assert code == 0
+        data = json.loads(out)
+        assert data["value"] == 3.0 and len(data["orbits"]) == 3
 
     def test_smooth_example(self, capsys):
         code, out, _ = run(capsys, "radius", prob("hilbert_smooth.json"), "--starts", "16")
@@ -578,15 +590,18 @@ class TestErrorPaths:
         assert no_solve == []
 
     def test_truncated_octahedron_is_one_error_line(self, capsys, tmp_path):
-        # the l_1 ball's dual list without +-(1, 1, 1): radii on it would read 1.0 where l_1(3) gives 3.0
-        units = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
-        signs = [[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1) if abs(a + b + c) < 3]
-        norm = {"kind": "polyhedral", "primal_extremes": units, "dual_extremes": signs}
-        obj = {"space": {"field": "real", "dim": 3, "norm": norm}, "tuple": {"matrices": [[[1] * 3] * 3]}}
-        code, out, err = run(capsys, "radius", write_problem(tmp_path, obj))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: dual extreme") and err.count("\n") == 1
+        # the l_1 ball's dual list without +-(1, ..., 1): radii of ones(dim, dim) on it would read 1.0
+        # in dim 3 and 2.0 in dim 4, where l_1(dim) gives dim
+        for dim in (3, 4):
+            units = [[sign * (i == j) for j in range(dim)] for i in range(dim) for sign in (1, -1)]
+            signs = [list(s) for s in itertools.product([1, -1], repeat=dim) if abs(sum(s)) < dim]
+            norm = {"kind": "polyhedral", "primal_extremes": units, "dual_extremes": signs}
+            obj = {"space": {"field": "real", "dim": dim, "norm": norm}, "tuple": {"matrices": [[[1] * dim] * dim]}}
+            code, out, err = run(capsys, "radius", write_problem(tmp_path, obj))
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and "has an edge to no other listed extreme" in err
+            assert err.count("\n") == 1
 
     def test_zero_radius_exit_two(self, capsys, tmp_path):
         path = write_problem(

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from jointradius import (
     space_from_json,
     space_to_json,
 )
+from jointradius import spaces
 from jointradius.spaces import ACTIVE_TOL, DESCRIPTOR_TOL, _PAIR_TABLES, AdmissiblePairs, _negations, lp_norm, lp_norm_rows
 from conftest import (
     cuboctahedron,
@@ -40,8 +42,10 @@ from conftest import (
     lr,
     near_duplicate_polygon,
     off_negation_hexagon,
+    polar_vertices,
     random_polygon_space,
     random_polytope,
+    same_rows,
     without_pair,
 )
 
@@ -592,8 +596,14 @@ class TestDescriptorConstruction:
 _CROSS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 _SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 _HEXAGON = np.array([[np.cos(k * np.pi / 3), np.sin(k * np.pi / 3)] for k in range(6)])
-_UNITS3 = np.vstack([np.eye(3), -np.eye(3)])
-_SIGNS3 = np.array(list(itertools.product([1.0, -1.0], repeat=3)))
+
+
+def _cross_and_cube(dim: int) -> tuple:
+    """The 2 dim units and the 2^dim sign vectors of R^dim: the l_1 ball's extremes and the l_inf ball's."""
+    return np.vstack([np.eye(dim), -np.eye(dim)]), np.array(list(itertools.product([1.0, -1.0], repeat=dim)))
+
+
+_UNITS3, _SIGNS3 = _cross_and_cube(3)
 # (primal, dual) of 3-polytopes: l_1, l_inf, and the cuboctahedron, whose vertices lie on 4 facets each
 POLYTOPES3 = {
     "l1": (_UNITS3, _SIGNS3),
@@ -697,23 +707,18 @@ class TestPolyhedralDescriptor:
 
     def test_truncated_octahedron_rejected(self):
         # the l_1 ball's dual list without the facets +-(1, 1, 1): each extreme is a vertex of its
-        # list, but max |u(x)| would give (1, 1, 1) / 3 the norm 1 / 3 instead of 1
-        with pytest.raises(InvalidDescriptor, match=r"dual extreme \[1.0, 1.0, -1.0\] has 3 admissible partners"):
+        # list, but max |u(x)| would give (1, 1, 1) / 3 the norm 1 / 3 instead of 1; the ball that the
+        # dual list bounds has an edge from e_1 along e_2 + e_3 to its vertex (1, 1, 1), which is unlisted
+        with pytest.raises(InvalidDescriptor, match=r"primal extreme \[1.0, 0.0, 0.0\] has an edge to no other listed"):
             SpaceDescriptor(field=REAL, dim=3, norm=Polyhedral(_UNITS3, _SIGNS3[np.abs(_SIGNS3.sum(axis=1)) < 3]))
 
-    # In dim 4 no rule sees a missing facet pair: the l_1(4) ball's dual list without the facets
-    # +-(1, 1, 1, 1) is admitted, norm_eval gives (1, 1, 1, 1) / 4 the norm 0.5 and the radius of
-    # ones(4, 4) is 2.0, where the ball that the units span gives 1 and 4.0.  A cure either
-    # refuses the descriptor or gives the right numbers.
-    @pytest.mark.xfail(strict=True, reason="a missing facet pair passes validation in dim >= 4")
     def test_missing_facet_pair_in_dim_4(self):
-        units, signs = np.vstack([np.eye(4), -np.eye(4)]), np.array(list(itertools.product([1.0, -1.0], repeat=4)))
-        try:
-            sp = SpaceDescriptor(field=REAL, dim=4, norm=Polyhedral(units, signs[np.abs(signs.sum(axis=1)) < 4]))
-        except InvalidDescriptor:
-            return
-        assert norm_eval(sp, np.full(4, 0.25)) == pytest.approx(1.0)
-        assert radius(OperatorTuple((np.ones((4, 4)),)), sp).value == pytest.approx(4.0)
+        # the l_1(4) ball's dual list without the facets +-(1, 1, 1, 1): each extreme is a vertex of its
+        # list, and a vertex rule alone admitted it, with norm_eval giving (1, 1, 1, 1) / 4 the norm 0.5
+        # and ones(4, 4) the radius 2.0, where the ball that the units span gives 1 and 4.0
+        units, signs = _cross_and_cube(4)
+        with pytest.raises(InvalidDescriptor, match="has an edge to no other listed extreme"):
+            SpaceDescriptor(field=REAL, dim=4, norm=Polyhedral(units, signs[np.abs(signs.sum(axis=1)) < 4]))
 
     @pytest.mark.parametrize("name", POLYTOPES3)
     def test_polytopes_admitted_and_every_facet_pair_required(self, name):
@@ -724,12 +729,53 @@ class TestPolyhedralDescriptor:
                 SpaceDescriptor(field=REAL, dim=3, norm=Polyhedral(prim, without_pair(dual, k)))
 
     def test_random_polytopes_admitted_and_every_facet_pair_required(self, rng):
-        for _ in range(20):
-            prim, dual = random_polytope(rng)
-            SpaceDescriptor(field=REAL, dim=3, norm=Polyhedral(prim, dual))
-            for k in range(len(dual)):
-                with pytest.raises(InvalidDescriptor):
-                    SpaceDescriptor(field=REAL, dim=3, norm=Polyhedral(prim, without_pair(dual, k)))
+        # and every vertex pair: without one, the primal list no longer spans the dual list's polar
+        for dim in (3, 4):
+            for _ in range(20):
+                prim, dual = random_polytope(rng, dim)
+                SpaceDescriptor(field=REAL, dim=dim, norm=Polyhedral(prim, dual))
+                for k in range(len(dual)):
+                    with pytest.raises(InvalidDescriptor):
+                        SpaceDescriptor(field=REAL, dim=dim, norm=Polyhedral(prim, without_pair(dual, k)))
+                for k in range(len(prim)):
+                    with pytest.raises(InvalidDescriptor):
+                        SpaceDescriptor(field=REAL, dim=dim, norm=Polyhedral(without_pair(prim, k), dual))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_cross_polytope_and_cube_admitted(self, dim):
+        # one side is simple and the other badly degenerate: in dim 6 each unit of the cube's dual list
+        # has 32 tight sign vectors, so its side would need C(32, 5) edge candidates per unit
+        units, signs = _cross_and_cube(dim)
+        for prim, dual in ((units, signs), (signs, units)):
+            sp = SpaceDescriptor(field=REAL, dim=dim, norm=Polyhedral(prim, dual))
+            assert norm_eval(sp, np.full(dim, 1.0 / dim)) == pytest.approx(1.0 if prim is units else 1.0 / dim)
+
+    def test_dual_extremes_are_the_polar_vertices(self, rng):
+        # each admitted descriptor lists exactly the vertices of its primal list's polar, found by brute
+        # force apart from the check; the same dual list less one facet pair is refused
+        cases = {f"polygon-{k}": extreme_points(random_polygon_space(rng, k)) for k in (3, 5, 8)}
+        cases |= {f"polytope-{dim}-{i}": random_polytope(rng, dim) for dim in (3, 4) for i in range(4)}
+        cases["cuboctahedron"] = cuboctahedron()
+        for dim in (2, 3, 4):
+            units, signs = _cross_and_cube(dim)
+            cases |= {f"l1-{dim}": (units, signs), f"linf-{dim}": (signs, units)}
+        for name, (prim, dual) in cases.items():
+            dim = prim.shape[1]
+            SpaceDescriptor(field=REAL, dim=dim, norm=Polyhedral(prim, dual))
+            assert same_rows(dual, polar_vertices(prim)), name
+            with pytest.raises(InvalidDescriptor):
+                SpaceDescriptor(field=REAL, dim=dim, norm=Polyhedral(prim, without_pair(dual, 0)))
+
+    def test_edge_candidates_within_the_entry_budget(self, monkeypatch):
+        # the cuboctahedron's N x N x dim arrays hold 14^2 x 3 = 588 entries; its cheaper side has 60
+        # edge candidates, 60 x 14 entries: refused, counted before any candidate is listed
+        def unlisted(*args):
+            raise AssertionError("edge candidates listed past the budget")
+
+        monkeypatch.setattr(spaces, "ENTRY_BUDGET", 600)
+        monkeypatch.setattr(spaces, "itertools", SimpleNamespace(combinations=unlisted))
+        with pytest.raises(Unsupported, match="60 edge candidates in dim 3 exceed the entry budget 600"):
+            SpaceDescriptor(field=REAL, dim=3, norm=Polyhedral(*cuboctahedron()))
 
     def test_validation_arrays_within_the_entry_budget(self):
         # 2898^2 x 2 entries exceed 2^24: refused before any N x N array (134 MB) is built
