@@ -2,7 +2,7 @@
 
 On spaces with finite extreme-point lists the supremum over norming pairs
 is attained on the admissible extreme pairs, so enumeration is exact.  One
-array pass scores one pair of each sign-mate orbit (v, u), (-v, -u); only
+array pass scores each sign-mate orbit (v, u), (-v, -u) on its lower pair; only
 the pairs that can attain become NormingPair objects, and `aggregate`
 re-scores them, so the reported value and orbits are its floats.  On
 smooth l_r spaces the functional is the unique duality image of x, making
@@ -112,8 +112,8 @@ def _mates(X, XS, K, f, c) -> np.ndarray:
 def orbit_dedup(pairs):
     """The founders of the unimodular orbits of the pairs, in input order.
 
-    On `AdmissiblePairs` (real extreme pairs) the only mate of (v, u) is (-v, -u), so the orbit
-    id of table pair t is the lower of t and its stored mate.  Any other sequence, such as
+    On `AdmissiblePairs` (real extreme pairs) the only mate of (v, u) is (-v, -u), and each pair
+    carries its orbit id, the lower table index of the two.  Any other sequence, such as
     ascent points, is grouped one founder at a time: the first remaining pair founds an orbit,
     and one `_mates` test removes from the rest each pair that the phase mu aligned on the
     founder's largest coordinate (a sign on real data) maps onto it within ORBIT_TOL in both
@@ -122,8 +122,7 @@ def orbit_dedup(pairs):
     if not pairs:
         return []
     if isinstance(pairs, AdmissiblePairs):
-        ids = np.minimum(pairs.index, pairs.mate[pairs.index])
-        return [pairs[k] for k in np.sort(np.unique(ids, return_index=True)[1]).tolist()]
+        return [pairs[k] for k in np.sort(np.unique(pairs.orbit, return_index=True)[1]).tolist()]
     X = np.array([pr.x for pr in pairs])
     XS = np.array([pr.x_star for pr in pairs])
     K = np.argmax(np.abs(X), axis=1)
@@ -191,21 +190,26 @@ def radius_exact(
     P, D = pairs.primal, pairs.dual
     if T.d * len(D) * len(P) > ENTRY_BUDGET:  # W, refused before it is formed; its gather is no larger
         raise Unsupported(f"the {T.d} x {len(D)} x {len(P)} scores exceed the entry budget {ENTRY_BUDGET}")
-    stand, scored_primal, at = pairs.scoring  # one pair of each exact mate orbit is scored for both
+    stand, scored_primal, at = pairs.scoring  # each orbit's lower pair is scored for the orbit
     W = D @ T.matrices @ scored_primal.T  # W[i, j, k] = d_j(T_i p_k); the extremes are real
     vals = lp_norm_rows(np.take(W.reshape(T.d, -1), at, axis=1).T, T.p)  # np.take: ~4x a fancy index
     # Both this pass and aggregate form z_i = x*(T_i x) from two length-n dot
     # products, in different orders, so each is within 2 n eps S of the exact
     # z_i (sqrt(2) more for complex T), with S = n^2 max|T| max|P| max|D|.
     # Their l_p norms of d entries then differ by delta <= 6 n d eps S +
-    # 2 (d + 4) eps best, the last term from rounding the two norms, and a
-    # pair that aggregate keeps, or the exact negation scored for it, scores at least
-    # best (1 - tol) - 2 delta here.  The slack covers 2 delta, the rounding of both
-    # cuts, and (tiny term) underflow, whose rounding is absolute.
-    n, d = T.n, T.d
-    S = n * n * T.max_entry() * np.abs(P).max() * np.abs(D).max()
+    # 2 (d + 4) eps best, the last term from rounding the two norms.  A mate
+    # (-v + e, -u + f), |e| <= g_P and |f| <= g_D (the gap), has z' - z =
+    # (-u + f)(T e) - f(T v), -u + f a listed row, so its l_p norm is within G =
+    # d n^2 max|T| (g_P max|D| + g_D max|P|) of its lower pair's: a kept pair's
+    # lower pair scores at least best (1 - tol) - 2 delta - G here.  The slack covers
+    # 2 delta, both cuts' rounding, (tiny term) underflow, whose rounding is absolute,
+    # and 2 G, G and its own rounding.  G is 0 when the gaps are, even on overflow.
+    n, d, m = T.n, T.d, T.max_entry()
+    pm, dm = np.abs(P).max(), np.abs(D).max()
+    S = n * n * m * pm * dm
+    G = (pairs.gap[0] * dm + pairs.gap[1] * pm) * d * n * n * m
     best = vals.max()
-    slack = 16 * np.finfo(float).eps * (n * d * S + (d + 2) * best) + n * d * np.finfo(float).tiny
+    slack = 16 * np.finfo(float).eps * (n * d * S + (d + 2) * best) + n * d * np.finfo(float).tiny + 2 * G
     pairs = pairs.at(np.flatnonzero(vals[stand] >= best - attain_tol * best - slack))
     return _result([aggregate(T, pr) for pr in pairs], pairs, EXACT_ENUMERATION, T, attain_tol)
 

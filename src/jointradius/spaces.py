@@ -101,10 +101,11 @@ class SpaceDescriptor:
                 raise InvalidDescriptor(f"{name} extreme of wrong dimension")
             if not np.all(np.isfinite(E)):
                 raise InvalidDescriptor(f"{name} extremes must be finite")
-        for E, neg, name in zip((P, D), _negations(self, P, D), ("primal", "dual")):
-            if np.max(np.abs(E + E[neg])) > DESCRIPTOR_TOL:  # the row nearest -v is -v
+        for E, gap, name in zip((P, D), admissible_pairs(self).gap, ("primal", "dual")):
+            if gap > DESCRIPTOR_TOL:  # the row nearest -v is -v
                 raise InvalidDescriptor(f"{name} extremes not closed under negation")
-            # no two rows within ORBIT_TOL (the diagonal holds len(E) zeros): their pairs would merge
+            # no two rows within ORBIT_TOL (the diagonal holds len(E) zeros): `orbit_dedup` on a sequence
+            # other than the pair table, such as list(admissible_pairs(space)), would merge their pairs
             if np.count_nonzero(np.linalg.norm(E[:, None, :] - E[None, :, :], axis=2) <= ORBIT_TOL) > len(E):
                 raise InvalidDescriptor(f"two {name} extremes lie within {ORBIT_TOL} of each other")
         G = P @ D.T  # <v, u> for every (v, u), as `admissible_pairs` forms it
@@ -337,21 +338,20 @@ def duality_map(space: SpaceDescriptor, x) -> list[NormingPair]:
 
 
 class AdmissiblePairs(Sequence):
-    """The admissible extreme pairs (primal[rows[k]], dual[cols[k]]), pairs index[k] of their table.
-    Table pair t's mate (-v, -u) is mate[t], or t where (-v, -u) is not admissible.
-    `scoring` is the exact radius's plan: it scores pairs t <= mate[t] and those whose mate is not
-    their exact negation; the score of pair stand[t] of those stands for t; their m primal extremes;
-    and each one's flat index j m + q (dual extreme j, q-th of those primal extremes).
+    """The admissible extreme pairs (primal[rows[k]], dual[cols[k]]) and their sign-mate orbit ids orbit[k]: the
+    lower table index of the pair and its mate (-v, -u), or its own where the mate is not admissible.  gap holds,
+    for the primal and the dual list, the largest |w + w'| over its rows w and listed negations w'.  `scoring` is
+    the exact radius's plan, which scores each orbit's lower pair: stand[t], the scored pair standing for pair t;
+    their m primal extremes; and each one's flat index j m + q (dual extreme j, q-th of those primal extremes).
 
     `at(idx)` is the subset of the indices idx.  Access goes through one list
     of NormingPairs, built on first access or shared with the set a subset is
     taken from, so repeated access returns the same objects.
     """
 
-    def __init__(self, primal, dual, rows, cols, mate, index, *scoring):
-        self.primal, self.dual, self.rows, self.cols = primal, dual, rows, cols
-        self.mate, self.index, self.scoring = mate, index, scoring
-        self._pairs = None
+    def __init__(self, primal, dual, rows, cols, orbit, gap, *scoring):
+        self.primal, self.dual, self.rows, self.cols, self.orbit, self.gap = primal, dual, rows, cols, orbit, gap
+        self.scoring, self._pairs = scoring, None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -360,11 +360,7 @@ class AdmissiblePairs(Sequence):
         if self._pairs is None:
             rows, cols = self.rows.tolist(), self.cols.tolist()
             # one view per extreme point, shared by all of its pairs
-            primal, dual = [None] * len(self.primal), [None] * len(self.dual)
-            for i in set(rows):
-                primal[i] = self.primal[i]
-            for j in set(cols):
-                dual[j] = self.dual[j]
+            primal, dual = {i: self.primal[i] for i in set(rows)}, {j: self.dual[j] for j in set(cols)}
             self._pairs = [NormingPair(primal[i], dual[j]) for i, j in zip(rows, cols)]
         return self._pairs[k]
 
@@ -372,7 +368,7 @@ class AdmissiblePairs(Sequence):
         return iter(self[:])
 
     def at(self, idx) -> "AdmissiblePairs":
-        rest = self.mate, self.index[idx], *self.scoring
+        rest = self.orbit[idx], self.gap, *self.scoring
         sub = AdmissiblePairs(self.primal, self.dual, self.rows[idx], self.cols[idx], *rest)
         if self._pairs is not None:
             sub._pairs = [self._pairs[k] for k in np.arange(len(self))[idx].tolist()]
@@ -398,23 +394,22 @@ def admissible_pairs(space: SpaceDescriptor) -> AdmissiblePairs:
 
     Returns an `AdmissiblePairs` sequence, primal-major: all functionals of the first primal
     extreme, then those of the second, and so on, each in the order of the dual extremes.  A dense
-    primal x dual index map gives each pair t its mate, or t where (-v, -u) is not admissible.  The
-    arrays are built once per space value, shared read-only by equal spaces, and wrapped afresh per call.
+    primal x dual index map gives each pair its orbit id.  The arrays are built once per space value (a
+    polyhedral space's at construction), shared read-only by equal spaces, and wrapped afresh per call.
     """
     table = _PAIR_TABLES.get(space)
     if table is None:
         primal, dual = extreme_points(space)
         rows, cols = np.nonzero(np.abs(primal @ dual.T - 1.0) <= DESCRIPTOR_TOL)
-        (neg_p, neg_d), index = _negations(space, primal, dual), np.arange(len(rows))
-        at = np.full((len(primal), len(dual)), -1)
+        negs, index = _negations(space, primal, dual), np.arange(len(rows))
+        at = np.full((len(primal), len(dual)), len(rows))  # above every index: a pair with no mate is its own id
         at[rows, cols] = index
-        mate = np.where((m := at[neg_p[rows], neg_d[cols]]) < 0, index, m)
-        exact = (primal[neg_p] == -primal).all(axis=1)[rows] & (dual[neg_d] == -dual).all(axis=1)[cols]
-        scored = (index <= mate) | ~exact
-        lead = np.flatnonzero(scored)
+        orbit = np.minimum(index, at[negs[0][rows], negs[1][cols]])
+        gap = np.array([np.abs(E + E[neg]).max() for E, neg in zip((primal, dual), negs)])
+        lead = np.flatnonzero(scored := orbit == index)
         prim, pos = np.unique(rows[lead], return_inverse=True)
-        scoring = (np.cumsum(scored) - 1)[np.where(scored, index, mate)], primal[prim], cols[lead] * len(prim) + pos
-        table = _PAIR_TABLES[space] = (primal, dual, rows, cols, mate, index, *scoring)
+        scoring = (np.cumsum(scored) - 1)[orbit], primal[prim], cols[lead] * len(prim) + pos
+        table = _PAIR_TABLES[space] = (primal, dual, rows, cols, orbit, gap, *scoring)
         for a in table:
             a.setflags(write=False)
     return AdmissiblePairs(*table)

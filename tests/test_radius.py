@@ -212,8 +212,9 @@ def _full_pass_exact(T, space, attain_tol=ATTAIN_TOL_EXACT):
 
 def _mate_corpus(rng):
     """(T, space): random real l_1/l_inf tuples (n 2-8, d 1-3), signed permutations, the zero
-    tuple, a tuple with a zero row, random polygons, and a hexagon whose extreme lists close
-    under negation only within 2e-13 to 6e-13."""
+    tuple, a tuple with a zero row, random polygons, random 3- and 4-polytopes, whose computed
+    facet normals negate only partly exactly, and a hexagon whose extreme lists close under
+    negation only within 2e-13 to 6e-13."""
     out = [
         (OperatorTuple(rng.standard_normal((1 + n % 3, n, n)), p=(1.3, 2.0, 3.7)[n % 3]), make(n))
         for n in range(2, 9)
@@ -228,8 +229,15 @@ def _mate_corpus(rng):
         out += [(OperatorTuple(mats, p=2.5), make(4)) for make in (linf, l1)]
     polygons = [random_polygon_space(rng, vertices=k) for k in (3, 5, 8)] + [off_negation_hexagon(rng)]
     out += [(OperatorTuple(rng.standard_normal((2, 2, 2)), p=1.7), sp) for sp in polygons]
+    for k, dim in enumerate((3, 3, 3, 4, 4, 4)):
+        sp = SpaceDescriptor(field=REAL, dim=dim, norm=Polyhedral(*random_polytope(rng, dim)))
+        out.append((OperatorTuple(rng.standard_normal((1 + k % 3, dim, dim)), p=(1.3, 2.0, 3.7)[k % 3]), sp))
+        # u(v) = 1 on every pair, so the second entry alone orders the pairs, and many tie
+        signs = np.array([np.eye(dim), np.diag(rng.choice([-1.0, 1.0], dim))])
+        out.append((OperatorTuple(signs, p=2.0), sp))
     # (I, diag(1, -1)) ties several orbits of the exact hexagon at the maximum; on the moved
-    # hexagon a pair and its mate differ by up to 1e-12 relative, so neither may stand for the other
+    # hexagon a pair and its mate differ by up to 1e-12 relative, so the lower pair's score
+    # stands for both only in a window widened by the gap
     ties = np.array([np.eye(2), np.diag([1.0, -1.0])])
     out += [(OperatorTuple(ties, p=(1.5, 2.0, 3.0)[k % 3]), off_negation_hexagon(rng)) for k in range(24)]
     return out
@@ -244,6 +252,22 @@ class TestMateScoring:
             rr = radius_exact(T, sp, attain_tol=tol)
             value, orbits = _full_pass_exact(T, sp, tol)
             assert rr.value == value
+            assert _orbit_bytes(rr.attaining) == orbits
+
+    @pytest.mark.parametrize("tol", [0.0, ATTAIN_TOL_EXACT, 1e-6])
+    def test_inexact_lists_score_one_pair_per_orbit(self, rng, tol):
+        # where a list closes under negation only within DESCRIPTOR_TOL, a pair and its mate
+        # differ in the last bits; the lower pair's score still stands for both, in a window
+        # widened by the gap, and the answer is the full pass's
+        inexact = [(T, sp) for T, sp in _mate_corpus(rng) if admissible_pairs(sp).gap.max() > 0]
+        assert len({id(sp) for _, sp in inexact}) >= 26  # the 25 hexagons and some polytope
+        for T, sp in inexact:
+            pairs = admissible_pairs(sp)
+            assert len(pairs.scoring[2]) == len(np.unique(pairs.orbit))  # one scored pair per orbit
+            rr = radius_exact(T, sp, attain_tol=tol)
+            value, orbits = _full_pass_exact(T, sp, tol)
+            assert rr.value == pytest.approx(value, rel=1e-12, abs=0.0)
+            assert len(rr.attaining.orbits) == len(orbits)
             assert _orbit_bytes(rr.attaining) == orbits
 
     def test_answers_survive_freed_tables(self, rng):
@@ -396,11 +420,15 @@ class TestScaleSafety:
 
     @pytest.mark.parametrize("c", [1e150, 1e-150])
     @pytest.mark.parametrize("p", [1.01, 80.0])
-    @pytest.mark.parametrize("kind", ["l1", "linf", "polygon"])
+    @pytest.mark.parametrize("kind", ["l1", "linf", "polygon", "polytope-3", "polytope-4"])
     def test_exact_norm_axioms_at_extreme_scales(self, rng, c, p, kind):
         # exact values only: multi-start values are lower bounds, so the
         # triangle inequality cannot be asserted on them
-        sp = random_polygon_space(rng) if kind == "polygon" else {"l1": l1, "linf": linf}[kind](3)
+        if kind.startswith("polytope"):
+            dim = int(kind[-1])
+            sp = SpaceDescriptor(field=REAL, dim=dim, norm=Polyhedral(*random_polytope(rng, dim)))
+        else:
+            sp = random_polygon_space(rng) if kind == "polygon" else {"l1": l1, "linf": linf}[kind](3)
         for _ in range(3):
             T = random_tuple(2, sp.dim, REAL, p, rng)
             S = random_tuple(2, sp.dim, REAL, p, rng)

@@ -366,33 +366,30 @@ class TestAdmissiblePairs:
                 np.testing.assert_array_equal(neg[neg], np.arange(len(E)))
 
     def test_mates(self, rng):
-        # mate is an involution, and mate[k] is the pair (neg i, neg j) where that pair is admissible
+        # orbit[t] is the lower of t and the index of (neg i, neg j), or t where that pair is not admissible
         for sp in extreme_spaces(rng) + [off_negation_hexagon(rng)]:
             pairs = admissible_pairs(sp)
             rows, cols = pairs.rows.tolist(), pairs.cols.tolist()
             where = {ij: k for k, ij in enumerate(zip(rows, cols))}
             neg_p, neg_d = _negations(sp, pairs.primal, pairs.dual)
-            negs = [(neg_p[i], neg_d[j]) for i, j in zip(rows, cols)]
-            np.testing.assert_array_equal(pairs.mate, [where.get(ij, k) for k, ij in enumerate(negs)])
-            np.testing.assert_array_equal(pairs.mate[pairs.mate], np.arange(len(pairs)))
-            np.testing.assert_array_equal(pairs.index, np.arange(len(pairs)))
+            mate = np.array([where.get((neg_p[i], neg_d[j]), k) for k, (i, j) in enumerate(zip(rows, cols))])
+            np.testing.assert_array_equal(mate[mate], np.arange(len(pairs)))
+            np.testing.assert_array_equal(pairs.orbit, np.minimum(np.arange(len(pairs)), mate))
+            assert np.bincount(pairs.orbit).max() <= 2  # a pair and its mate, no more
             idx = rng.permutation(len(pairs))[::3]
             sub = pairs.at(idx)
-            assert sub.mate is pairs.mate and all(a is b for a, b in zip(sub.scoring, pairs.scoring))
-            np.testing.assert_array_equal(sub.index, idx)
-            np.testing.assert_array_equal(sub.at(np.arange(len(sub))[::-2]).index, idx[::-2])
+            assert sub.gap is pairs.gap and all(a is b for a, b in zip(sub.scoring, pairs.scoring))
+            np.testing.assert_array_equal(sub.orbit, pairs.orbit[idx])
+            np.testing.assert_array_equal(sub.at(np.arange(len(sub))[::-2]).orbit, pairs.orbit[idx[::-2]])
 
     def test_scoring_plan(self, rng):
         for sp in extreme_spaces(rng) + [off_negation_hexagon(rng)]:
             pairs = admissible_pairs(sp)
-            P, D, rows, cols, mate = pairs.primal, pairs.dual, pairs.rows, pairs.cols, pairs.mate
+            P, rows, cols, orbit = pairs.primal, pairs.rows, pairs.cols, pairs.orbit
             stand, scored_primal, at = pairs.scoring
-            k = np.arange(len(pairs))
-            exact = (P[rows[mate]] == -P[rows]).all(axis=1) & (D[cols[mate]] == -D[cols]).all(axis=1)
-            lead = np.flatnonzero(~exact | (k <= mate))
-            # of a mate orbit whose pairs are exact negations the lower pair is scored for both;
-            # every other pair is scored for itself
-            np.testing.assert_array_equal(lead[stand], np.where(exact & (mate < k), mate, k))
+            lead = np.flatnonzero(orbit == np.arange(len(pairs)))
+            # each orbit's lower pair is scored, and its score stands for every pair of the orbit
+            np.testing.assert_array_equal(lead[stand], orbit)
             # flat index j * m + q of each scored pair (i, j): scored_primal[q] is extreme i
             j, q = np.divmod(at, len(scored_primal))
             np.testing.assert_array_equal(j, cols[lead])
@@ -400,7 +397,8 @@ class TestAdmissiblePairs:
             if isinstance(sp.norm, LpNorm):  # exact negations: half of each
                 assert 2 * len(at) == len(pairs) and 2 * len(scored_primal) == len(P)
         hexagon = admissible_pairs(off_negation_hexagon(rng))
-        assert len(hexagon.scoring[2]) == len(hexagon)  # no mate is an exact negation
+        # no mate is an exact negation there, and still one pair of each orbit is scored
+        assert hexagon.gap.min() > 0 and 2 * len(hexagon.scoring[2]) == len(hexagon)
 
 
 class TestPairTable:
@@ -411,16 +409,19 @@ class TestPairTable:
         spaces = make(3), make(3)  # kept alive: the entry lives as long as its key space
         a, b = map(admissible_pairs, spaces)
         assert a is not b
-        for name in ("primal", "dual", "rows", "cols", "mate", "index"):
+        for name in ("primal", "dual", "rows", "cols", "orbit", "gap"):
             arr = getattr(a, name)
             assert arr is getattr(b, name)
             assert not arr.flags.writeable
         for arr, other in zip(a.scoring, b.scoring):
             assert arr is other and not arr.flags.writeable
-        # each (v, u) negates to an admissible pair on l_1 and l_inf, so every mate is (neg v, neg u)
+        np.testing.assert_array_equal(a.gap, [0.0, 0.0])  # both lists close under exact negation
+        # each (v, u) negates to an admissible pair on l_1 and l_inf, so every orbit is (v, u) and (neg v, neg u)
+        assert (np.bincount(a.orbit)[a.orbit] == 2).all()
+        upper = np.flatnonzero(a.orbit != np.arange(len(a)))
         neg_p, neg_d = _negations(spaces[0], a.primal, a.dual)
-        np.testing.assert_array_equal(a.rows[a.mate], neg_p[a.rows])
-        np.testing.assert_array_equal(a.cols[a.mate], neg_d[a.cols])
+        np.testing.assert_array_equal(a.rows[a.orbit[upper]], neg_p[a.rows[upper]])
+        np.testing.assert_array_equal(a.cols[a.orbit[upper]], neg_d[a.cols[upper]])
 
     def test_pair_vectors_are_read_only(self):
         pr = admissible_pairs(linf(2))[0]
@@ -472,8 +473,26 @@ class TestPairTable:
         T = OperatorTuple((np.array([[1.0, 2.0], [3.0, 4.0]]),))
         assert [radius(T, sp).value for sp in built] == [7.0] * 3
 
+    def test_one_negation_search_per_polyhedral_value(self, rng, monkeypatch):
+        # validation reads the negation gap from the pair table, which the exact solve then reuses
+        calls = []
+        negations = _negations
+
+        def spy(space, primal, dual):
+            calls.append(space)
+            return negations(space, primal, dual)
+
+        monkeypatch.setattr("jointradius.spaces._negations", spy)
+        prim, dual = random_polytope(rng)  # a fresh value: no equal space holds a table
+        T = OperatorTuple(rng.standard_normal((2, 3, 3)))
+        sp = SpaceDescriptor(field=REAL, dim=3, norm=Polyhedral(prim, dual))
+        value = radius(T, sp).value
+        assert len(calls) == 1
+        twin = SpaceDescriptor(field=REAL, dim=3, norm=Polyhedral(prim, dual))
+        assert radius(T, twin).value == value and len(calls) == 1  # sp is alive, so its table serves twin
+
     def test_polyhedral_norms_read_the_table(self, rng, monkeypatch):
-        # a fresh polygon value: its table is built by the first norm call and read by the rest
+        # a fresh polygon value: its table is built at construction and read by every norm call
         sp = random_polygon_space(rng, 40)
         P, D = extreme_points(sp)
         calls = []
@@ -488,7 +507,7 @@ class TestPairTable:
             assert dual_norm_eval(sp, v) == float(np.max(np.abs(P @ v)))
         for v in P[:3]:
             assert [pr.x_star.tolist() for pr in duality_map(sp, v)] == D[np.abs(D @ v - 1.0) <= ACTIVE_TOL].tolist()
-        assert len(calls) == 1
+        assert calls == []
 
     @pytest.mark.parametrize("entry", ["1.0", True, None, 1j])
     def test_polygon_entries_must_be_numbers(self, entry):
