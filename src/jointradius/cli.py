@@ -5,7 +5,8 @@ second input (direction, subspace or against tuple), solves once, and
 writes the command's answer as JSON to standard output.  Diagnostics go to
 standard error.  Exit codes: 0 success, 1 usage, I/O or schema errors or
 numbers out of range in the input (OverflowError, e.g. an integer literal
-past the float range), 2 mathematical errors (zero radius, dependent direction).
+past the float range), 2 mathematical errors (zero radius, dependent direction),
+3 a `verify` whose audit failed (its report is still written).
 """
 
 from __future__ import annotations
@@ -268,14 +269,15 @@ def main(argv=None) -> int:
         rr = None
         if args.command != "extremes":  # the extreme points need no radius
             rr = radius(problem.tuple, problem.space, starts=args.starts, seed=args.seed, attain_tol=args.tol)
-        _emit(COMMANDS[args.command](problem, args, rr, aux), args.pretty)
+        answer = COMMANDS[args.command](problem, args, rr, aux)
+        _emit(answer, args.pretty)
     except MATH_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (JointRadiusError, OSError, json.JSONDecodeError, KeyError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return 0 if answer.get("passed", True) else 3
 
 
 if __name__ == "__main__":

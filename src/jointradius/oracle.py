@@ -52,7 +52,7 @@ def random_tuple(
     return OperatorTuple(tuple(mats), p=p, field=field)
 
 
-def _batch_unit_vectors(space: SpaceDescriptor, m: int, rng) -> np.ndarray:
+def _batch_unit_vectors(space: SpaceDescriptor, m: int, rng, U) -> np.ndarray:
     if (
         isinstance(space.norm, LpNorm)
         and space.norm.r == 1.0
@@ -67,7 +67,6 @@ def _batch_unit_vectors(space: SpaceDescriptor, m: int, rng) -> np.ndarray:
     if space.field == COMPLEX:
         X = X + 1j * rng.standard_normal((m, space.dim))
     if isinstance(space.norm, Polyhedral):
-        U = np.array([np.asarray(u, float) for u in space.norm.dual_extremes])
         norms = np.max(np.abs(X @ U.T), axis=1)
     else:
         # each row divided by its max |X_i| first, so |X_i|^r stays in range
@@ -77,10 +76,9 @@ def _batch_unit_vectors(space: SpaceDescriptor, m: int, rng) -> np.ndarray:
     return X[keep] / norms[keep, None]
 
 
-def _batch_functionals(space: SpaceDescriptor, X: np.ndarray) -> np.ndarray:
-    """One norming functional per row of X (rows are unit vectors)."""
+def _batch_functionals(space: SpaceDescriptor, X: np.ndarray, U) -> np.ndarray:
+    """One norming functional per row of X (rows are unit vectors); U holds a polyhedral space's dual extremes."""
     if isinstance(space.norm, Polyhedral):
-        U = np.array([np.asarray(u, float) for u in space.norm.dual_extremes])
         idx = np.argmax(X @ U.T, axis=1)  # extremes closed under negation
         return U[idx]
     r = space.norm.r
@@ -113,16 +111,18 @@ def sampled_radius(
     if T.n != space.dim:  # checked here, not through the solver, to keep the oracle independent
         raise DimensionMismatch(f"space dimension {space.dim} does not match operator dimension {T.n}")
     rng = np.random.default_rng(seed)
+    # a polyhedral space's dual extremes, read off the descriptor rather than the solver's pair table
+    U = np.array(space.norm.dual_extremes) if isinstance(space.norm, Polyhedral) else None
     best = 0.0
     chunk = 50_000
     remaining = samples
     while remaining > 0:
         m = min(chunk, remaining)
         remaining -= m
-        X = _batch_unit_vectors(space, m, rng)
+        X = _batch_unit_vectors(space, m, rng, U)
         if X.shape[0] == 0:
             continue
-        Xs = _batch_functionals(space, X)
+        Xs = _batch_functionals(space, X, U)
         Z = np.empty((X.shape[0], T.d), dtype=complex)
         for i, M in enumerate(T.matrices):
             Z[:, i] = np.einsum("mj,mj->m", np.conj(Xs), X @ M.T)

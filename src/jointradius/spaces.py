@@ -93,48 +93,14 @@ class SpaceDescriptor:
             P, D = extreme_points(self)
         except ValueError as exc:
             raise InvalidDescriptor("extreme points must be numeric vectors of one length") from exc
-        # the arrays below up to the edge rule hold N x N x dim entries, N the longer list; refused before any is built
-        if max(len(P), len(D)) ** 2 * self.dim > ENTRY_BUDGET:
+        if max(len(P), len(D)) ** 2 * self.dim > ENTRY_BUDGET:  # the list rules' arrays, N x N x dim for N rows
             raise Unsupported(f"{len(P)} x {len(D)} extremes in dim {self.dim} exceed the entry budget {ENTRY_BUDGET}")
         for E, name in ((P, "primal"), (D, "dual")):
             if E.ndim != 2 or E.shape[1] != self.dim:
                 raise InvalidDescriptor(f"{name} extreme of wrong dimension")
             if not np.all(np.isfinite(E)):
                 raise InvalidDescriptor(f"{name} extremes must be finite")
-        for E, gap, name in zip((P, D), admissible_pairs(self).gap, ("primal", "dual")):
-            if gap > DESCRIPTOR_TOL:  # the row nearest -v is -v
-                raise InvalidDescriptor(f"{name} extremes not closed under negation")
-            # no two rows within ORBIT_TOL (the diagonal holds len(E) zeros): `orbit_dedup` on a sequence
-            # other than the pair table, such as list(admissible_pairs(space)), would merge their pairs
-            if np.count_nonzero(np.linalg.norm(E[:, None, :] - E[None, :, :], axis=2) <= ORBIT_TOL) > len(E):
-                raise InvalidDescriptor(f"two {name} extremes lie within {ORBIT_TOL} of each other")
-        G = P @ D.T  # <v, u> for every (v, u), as `admissible_pairs` forms it
-        for axis, name, norm in ((1, "primal", "polyhedral norm"), (0, "dual", "dual norm")):
-            if np.max(np.abs(np.abs(G).max(axis=axis) - 1.0)) > DESCRIPTOR_TOL:
-                raise InvalidDescriptor(f"{name} extremes are not unit vectors of the {norm}")
-        # a vertex lies on dim independent facets: its admissible partners span the space (so both lists do)
-        admissible = np.abs(G - 1.0) <= DESCRIPTOR_TOL
-        sides = ((P, D, admissible, "primal"), (D, P, admissible.T, "dual"))
-        for E, F, mask, name in sides:
-            if np.any(low := np.linalg.matrix_rank(mask[:, :, None] * F, tol=1e-9) < self.dim):
-                what = f"{name} extreme {E[np.argmax(low)].tolist()} is not a vertex"
-                raise InvalidDescriptor(f"{what}: its admissible partners do not span the space")
-        # So each row of E is a vertex of F's polar; E lists them all (and F all of E's polar) when each
-        # edge at a row ends at another, as the vertex graph is connected.  A candidate is a row and dim - 1
-        # of its tight partners F[S]: of rank dim - 1, with a null line leaving all the row's tight partners
-        # on one side, S spans an edge, and a second row must be tight on all of S.  Walk the cheaper side.
-        counts = [[math.comb(t, self.dim - 1) for t in mask.sum(axis=1).tolist()] for _, _, mask, _ in sides]
-        (E, F, mask, name), counts = min(zip(sides, counts), key=lambda walk: sum(walk[1]))
-        if sum(counts) * max(len(P), len(D)) > ENTRY_BUDGET:  # arrays of candidates x N (x dim - 1 bools)
-            raise Unsupported(f"{sum(counts)} edge candidates in dim {self.dim} exceed the entry budget {ENTRY_BUDGET}")
-        S = np.array([c for row in mask for c in itertools.combinations(np.flatnonzero(row), self.dim - 1)], np.intp)
-        alone = np.count_nonzero(mask.T[S].all(axis=1), axis=1) < 2  # the row is the only one tight on S
-        k, S = np.repeat(np.arange(len(E)), counts)[alone], S[alone]  # k: the candidate's row
-        _, s, Vt = np.linalg.svd(F[S])  # Vt[:, -1] spans the null line where all dim - 1 values pass 1e-9
-        e_v = np.where(mask[k], Vt[:, -1] @ F.T, 0.0)  # e(v) on the row's tight partners v
-        if np.any(edge := (s > 1e-9).all(axis=1) & ((e_v <= 1e-9).all(axis=1) | (e_v >= -1e-9).all(axis=1))):
-            what = f"{name} extreme {E[k[np.argmax(edge)]].tolist()} has an edge to no other listed extreme"
-            raise InvalidDescriptor(f"{what}: an extreme of either list is missing")
+        admissible_pairs(self)  # raises, keeping nothing, where a list rule of `_negations` fails
 
     @property
     def is_smooth_lp(self) -> bool:
@@ -375,14 +341,47 @@ class AdmissiblePairs(Sequence):
         return sub
 
 
-def _negations(space: SpaceDescriptor, primal: np.ndarray, dual: np.ndarray):
-    """The index of -v for each row v of either list of `extreme_points`: on real l_1/l_inf, k^1
-    among the units and 2^n - 1 - k among the sign vectors; on a polyhedral space the nearest row,
-    from an N x N x dim array within the budget validation enforces."""
-    if isinstance(space.norm, Polyhedral):
-        return tuple(np.argmin(np.abs(E[:, None, :] + E[None, :, :]).max(axis=2), axis=1) for E in (primal, dual))
-    units, signs = np.arange(2 * space.dim) ^ 1, np.arange(2**space.dim)[::-1]
-    return (units, signs) if space.norm.r == 1 else (signs, units)
+def _negations(space: SpaceDescriptor, primal: np.ndarray, dual: np.ndarray, G: np.ndarray, admissible: np.ndarray):
+    """The index of -v for each row v of either list of `extreme_points`, and each list's gap, max |v + w| over rows v
+    and negations w.  On a polyhedral space -v is the nearest row, once the list rules pass on G and the mask."""
+    if not isinstance(space.norm, Polyhedral):
+        units, signs = np.arange(2 * space.dim) ^ 1, np.arange(2**space.dim)[::-1]
+        return ((units, signs) if space.norm.r == 1 else (signs, units)), np.zeros(2)
+    negs, gap = [], []
+    for E, name in ((primal, "primal"), (dual, "dual")):
+        sums = np.linalg.norm(E[:, None, :] + E[None, :, :], axis=2)  # |v + w| for every two rows
+        negs.append(neg := np.argmin(sums, axis=1))
+        gap.append(np.abs(E + E[neg]).max())
+        if gap[-1] > DESCRIPTOR_TOL:
+            raise InvalidDescriptor(f"{name} extremes not closed under negation")
+        # the list closed, more entries than rows mean two rows within ORBIT_TOL, whose pairs `orbit_dedup` would merge
+        if np.count_nonzero(sums <= ORBIT_TOL) > len(E):
+            raise InvalidDescriptor(f"two {name} extremes lie within {ORBIT_TOL} of each other")
+    for axis, name, norm in ((1, "primal", "polyhedral norm"), (0, "dual", "dual norm")):
+        if np.max(np.abs(np.abs(G).max(axis=axis) - 1.0)) > DESCRIPTOR_TOL:
+            raise InvalidDescriptor(f"{name} extremes are not unit vectors of the {norm}")
+    # a vertex lies on dim independent facets: its admissible partners span the space (so both lists do)
+    sides = ((primal, dual, admissible, "primal"), (dual, primal, admissible.T, "dual"))
+    for E, F, mask, name in sides:
+        if np.any(low := np.linalg.matrix_rank(mask[:, :, None] * F, tol=1e-9) < space.dim):
+            what = f"{name} extreme {E[np.argmax(low)].tolist()} is not a vertex"
+            raise InvalidDescriptor(f"{what}: its admissible partners do not span the space")
+    # So each row of E is a vertex of F's polar; E lists them all (and F all of E's polar) when each edge at a row
+    # ends at another, as the vertex graph is connected.  A row and dim - 1 tight partners F[S] of rank dim - 1 whose
+    # null line leaves all the row's tight partners on one side span an edge, and a second row must be tight on S.
+    counts = [[math.comb(t, space.dim - 1) for t in mask.sum(axis=1).tolist()] for _, _, mask, _ in sides]
+    (E, F, mask, name), counts = min(zip(sides, counts), key=lambda walk: sum(walk[1]))  # walk the cheaper side
+    if sum(counts) * max(len(primal), len(dual)) > ENTRY_BUDGET:  # arrays of candidates x N (x dim - 1 bools)
+        raise Unsupported(f"{sum(counts)} edge candidates in dim {space.dim} exceed the entry budget {ENTRY_BUDGET}")
+    S = np.array([c for row in mask for c in itertools.combinations(np.flatnonzero(row), space.dim - 1)], np.intp)
+    alone = np.count_nonzero(mask.T[S].all(axis=1), axis=1) < 2  # the row is the only one tight on S
+    k, S = np.repeat(np.arange(len(E)), counts)[alone], S[alone]  # k: the candidate's row
+    _, s, Vt = np.linalg.svd(F[S])  # Vt[:, -1] spans the null line where all dim - 1 values pass 1e-9
+    e_v = np.where(mask[k], Vt[:, -1] @ F.T, 0.0)  # e(v) on the row's tight partners v
+    if np.any(edge := (s > 1e-9).all(axis=1) & ((e_v <= 1e-9).all(axis=1) | (e_v >= -1e-9).all(axis=1))):
+        what = f"{name} extreme {E[k[np.argmax(edge)]].tolist()} has an edge to no other listed extreme"
+        raise InvalidDescriptor(f"{what}: an extreme of either list is missing")
+    return tuple(negs), np.array(gap)
 
 
 # space -> the read-only arrays of its `AdmissiblePairs`; an entry lives as long as its key space does
@@ -400,12 +399,13 @@ def admissible_pairs(space: SpaceDescriptor) -> AdmissiblePairs:
     table = _PAIR_TABLES.get(space)
     if table is None:
         primal, dual = extreme_points(space)
-        rows, cols = np.nonzero(np.abs(primal @ dual.T - 1.0) <= DESCRIPTOR_TOL)
-        negs, index = _negations(space, primal, dual), np.arange(len(rows))
+        G = primal @ dual.T  # <v, u> for every (v, u)
+        admissible = np.abs(G - 1.0) <= DESCRIPTOR_TOL
+        (neg_p, neg_d), gap = _negations(space, primal, dual, G, admissible)
+        rows, cols = np.nonzero(admissible)
         at = np.full((len(primal), len(dual)), len(rows))  # above every index: a pair with no mate is its own id
-        at[rows, cols] = index
-        orbit = np.minimum(index, at[negs[0][rows], negs[1][cols]])
-        gap = np.array([np.abs(E + E[neg]).max() for E, neg in zip((primal, dual), negs)])
+        at[rows, cols] = index = np.arange(len(rows))
+        orbit = np.minimum(index, at[neg_p[rows], neg_d[cols]])
         lead = np.flatnonzero(scored := orbit == index)
         prim, pos = np.unique(rows[lead], return_inverse=True)
         scoring = (np.cumsum(scored) - 1)[orbit], primal[prim], cols[lead] * len(prim) + pos

@@ -258,6 +258,15 @@ class TestOtherCommands:
         assert data["sampled_radius"] <= data["value"] + 1e-12
         assert "check" in err  # human-readable table on stderr
 
+    def test_failed_audit_exits_3(self, capsys):
+        # 4 starts on complex l_1e4 end below the sampled radius: the report is written, and the exit code says so
+        code, out, err = run(capsys, "verify", prob("failed_audit.json"), "--starts", "4", "--samples", "2000")
+        assert code == 3
+        data = json.loads(out)
+        assert data["passed"] is False and data["sampled_radius"] > data["value"]
+        assert [c["name"] for c in data["checks"] if c["status"] != "pass"] == ["sampled_radius_dominated"]
+        assert "error:" not in err and "sampled_radius_dominated" in err
+
     def test_verify_passes_starts_to_audit(self, capsys, monkeypatch):
         seen = []
         original = jointradius.oracle.radius
@@ -351,12 +360,13 @@ class TestLargeR:
         space = {"field": field, "dim": 2, "norm": {"kind": "lp", "r": r}}
         tup = {"d": 2, "p": 3, "matrices": [[[1, 2], [3, 4]], [[0, 1], [1, 0]]]}
         path = write_problem(tmp_path, {"space": space, "tuple": tup})
-        # verify's audit solves 20 more problems, so it gets fewer starts
+        # verify's audit solves 20 more problems, so it gets fewer starts; at 2 starts some audits fail, and
+        # verify then exits 3 with its report
         starts = "2" if command == "verify" else "8"
         code, out, err = run(capsys, command, path, "--starts", starts, "--samples", "2000")
-        assert code == 0, err
         assert "Warning" not in err
         data = json.loads(out)
+        assert code == (3 if command == "verify" and not data["passed"] else 0), err
         if command == "radius":
             assert math.isfinite(data["value"]) and len(data["orbits"]) == 1
 

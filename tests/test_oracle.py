@@ -85,7 +85,7 @@ class TestSampledRadius:
     def test_unit_vectors_at_large_r(self, field, r):
         # |X_i|^r of a Gaussian sample overflows for r >= about 1e3 unless
         # the row is divided by its max |X_i| first
-        X = _batch_unit_vectors(lr(3, r, field), 500, np.random.default_rng(0))
+        X = _batch_unit_vectors(lr(3, r, field), 500, np.random.default_rng(0), None)
         assert X.shape == (500, 3)
         m = np.max(np.abs(X), axis=1)
         np.testing.assert_allclose(m * np.linalg.norm(np.abs(X) / m[:, None], ord=r, axis=1), 1.0, rtol=1e-12)

@@ -50,6 +50,12 @@ from conftest import (
 )
 
 
+def _table_negations(sp, P, D):
+    """The negation indices of both lists, from `_negations` on the arrays the pair-table build hands it."""
+    G = P @ D.T
+    return _negations(sp, P, D, G, np.abs(G - 1.0) <= DESCRIPTOR_TOL)[0]
+
+
 class TestNormEval:
     def test_euclidean(self):
         assert norm_eval(lr(2, 2.0), [3.0, 4.0]) == 5.0
@@ -357,13 +363,15 @@ class TestAdmissiblePairs:
         assert [id(pr) for pr in pairs.at(idx)] == [id(pairs[k]) for k in idx]
 
     def test_negation_indices(self, rng):
-        # neg maps each extreme to its negation, within DESCRIPTOR_TOL, and is an involution
-        for sp in extreme_spaces(rng):
+        # neg maps each extreme to its negation, within DESCRIPTOR_TOL, and is an involution; it is the row of
+        # least max |v + w|, which the nearest row in the 2-norm is on every admitted list
+        for sp in extreme_spaces(rng) + [off_negation_hexagon(rng)]:
             pairs = admissible_pairs(sp)
-            for E, neg in zip((pairs.primal, pairs.dual), _negations(sp, pairs.primal, pairs.dual)):
+            for E, neg in zip((pairs.primal, pairs.dual), _table_negations(sp, pairs.primal, pairs.dual)):
                 assert neg.shape == (len(E),)
                 assert np.max(np.abs(E[neg] + E)) <= DESCRIPTOR_TOL
                 np.testing.assert_array_equal(neg[neg], np.arange(len(E)))
+                np.testing.assert_array_equal(neg, np.argmin(np.abs(E[:, None, :] + E[None, :, :]).max(axis=2), axis=1))
 
     def test_mates(self, rng):
         # orbit[t] is the lower of t and the index of (neg i, neg j), or t where that pair is not admissible
@@ -371,7 +379,7 @@ class TestAdmissiblePairs:
             pairs = admissible_pairs(sp)
             rows, cols = pairs.rows.tolist(), pairs.cols.tolist()
             where = {ij: k for k, ij in enumerate(zip(rows, cols))}
-            neg_p, neg_d = _negations(sp, pairs.primal, pairs.dual)
+            neg_p, neg_d = _table_negations(sp, pairs.primal, pairs.dual)
             mate = np.array([where.get((neg_p[i], neg_d[j]), k) for k, (i, j) in enumerate(zip(rows, cols))])
             np.testing.assert_array_equal(mate[mate], np.arange(len(pairs)))
             np.testing.assert_array_equal(pairs.orbit, np.minimum(np.arange(len(pairs)), mate))
@@ -419,7 +427,7 @@ class TestPairTable:
         # each (v, u) negates to an admissible pair on l_1 and l_inf, so every orbit is (v, u) and (neg v, neg u)
         assert (np.bincount(a.orbit)[a.orbit] == 2).all()
         upper = np.flatnonzero(a.orbit != np.arange(len(a)))
-        neg_p, neg_d = _negations(spaces[0], a.primal, a.dual)
+        neg_p, neg_d = _table_negations(spaces[0], a.primal, a.dual)
         np.testing.assert_array_equal(a.rows[a.orbit[upper]], neg_p[a.rows[upper]])
         np.testing.assert_array_equal(a.cols[a.orbit[upper]], neg_d[a.cols[upper]])
 
@@ -474,22 +482,41 @@ class TestPairTable:
         assert [radius(T, sp).value for sp in built] == [7.0] * 3
 
     def test_one_negation_search_per_polyhedral_value(self, rng, monkeypatch):
-        # validation reads the negation gap from the pair table, which the exact solve then reuses
-        calls = []
-        negations = _negations
+        # the pair-table build, which runs the list rules, forms P D^T once and one |v + w| array per list at
+        # construction; an equal space built while the first is alive, and the exact solve, reuse the table
+        log = []
 
-        def spy(space, primal, dual):
-            calls.append(space)
-            return negations(space, primal, dual)
+        class Logged(np.ndarray):
+            """An extreme array that logs each ufunc applied to it, with a copy of each logged operand."""
 
-        monkeypatch.setattr("jointradius.spaces._negations", spy)
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                log.append([np.array(a) for a in inputs if isinstance(a, Logged)])
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(np.asarray(a) for a in kwargs["out"])
+                return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+        points = extreme_points
+        monkeypatch.setattr("jointradius.spaces.extreme_points", lambda space: [E.view(Logged) for E in points(space)])
         prim, dual = random_polytope(rng)  # a fresh value: no equal space holds a table
-        T = OperatorTuple(rng.standard_normal((2, 3, 3)))
         sp = SpaceDescriptor(field=REAL, dim=3, norm=Polyhedral(prim, dual))
+        P, D = np.array(prim), np.array(dual)
+
+        def passes():
+            """How often the log holds the pairwise v +- w array of P, that of D, and the product P D^T."""
+
+            def count(*want):
+                return sum(len(ops) == 2 and all(map(np.array_equal, ops, want)) for ops in log)
+
+            return [count(E[:, None], E[None]) for E in (P, D)] + [count(P, D.T)]
+
+        assert passes() == [1, 1, 1]
+        log.clear()
+        T = OperatorTuple(rng.standard_normal((2, 3, 3)))
         value = radius(T, sp).value
-        assert len(calls) == 1
         twin = SpaceDescriptor(field=REAL, dim=3, norm=Polyhedral(prim, dual))
-        assert radius(T, twin).value == value and len(calls) == 1  # sp is alive, so its table serves twin
+        assert radius(T, twin).value == value
+        assert admissible_pairs(twin).primal is admissible_pairs(sp).primal  # sp is alive, so its table serves twin
+        assert log and passes() == [0, 0, 0]
 
     def test_polyhedral_norms_read_the_table(self, rng, monkeypatch):
         # a fresh polygon value: its table is built at construction and read by every norm call
@@ -691,13 +718,17 @@ class TestPolyhedralDescriptor:
 
     @pytest.mark.parametrize("side", ["primal", "dual"])
     def test_near_duplicate_extremes_rejected(self, side):
-        # 12 admissible pairs in 6 +- couples, that orbit_dedup would merge into 5 orbits
-        prim, dual = near_duplicate_polygon()
-        if side == "dual":  # the polar hexagon: its dual extremes lie 1.4e-7 apart
-            prim, dual = dual, prim
-        with pytest.raises(InvalidDescriptor, match=f"two {side} extremes lie within"):
-            SpaceDescriptor(field=REAL, dim=2, norm=Polyhedral(prim, dual))
-        SpaceDescriptor(field=REAL, dim=2, norm=Polyhedral(*near_duplicate_polygon(1e-3)))
+        # 12 admissible pairs in 6 +- couples, that orbit_dedup would merge into 5 orbits, while the first two
+        # vertices lie within ORBIT_TOL = 1e-6: sqrt(2) eps apart, refused at 1.4e-7 and 0.9e-6, admitted at 1.1e-6
+        for eps in (1e-7, 0.9e-6 / math.sqrt(2), 1.1e-6 / math.sqrt(2), 1e-3):
+            prim, dual = near_duplicate_polygon(eps)
+            if side == "dual":  # the polar hexagon: its dual extremes lie sqrt(2) eps apart
+                prim, dual = dual, prim
+            if math.sqrt(2) * eps > 1e-6:
+                SpaceDescriptor(field=REAL, dim=2, norm=Polyhedral(prim, dual))
+                continue
+            with pytest.raises(InvalidDescriptor, match=f"two {side} extremes lie within"):
+                SpaceDescriptor(field=REAL, dim=2, norm=Polyhedral(prim, dual))
 
     @pytest.mark.parametrize(
         "prim, dual, message",
@@ -810,12 +841,18 @@ class TestPolyhedralDescriptor:
         assert peak < 16 * 2**20
 
     def test_negation_closure_required(self):
-        with pytest.raises(InvalidDescriptor):
-            SpaceDescriptor(
-                field=REAL,
-                dim=1,
-                norm=Polyhedral(((1.0,),), ((1.0,), (-1.0,))),
-            )
+        # a list without the negation of a row, or with one moved by 1e-10: the rule runs before the unit-vector
+        # rule, which a moved negation fails as well, and before the vertex rule, which a missing one fails
+        cases = [
+            ([[1.0]], [[1.0], [-1.0]], "primal"),
+            (np.vstack([_SQUARE[:3], [[-1.0 - 1e-10, -1.0]]]), _CROSS, "primal"),
+            (_SQUARE[:3], _CROSS, "primal"),
+            (_SQUARE, np.vstack([_CROSS[:3], [[0.0, -1.0 - 1e-10]]]), "dual"),
+            (_SQUARE, _CROSS[:3], "dual"),  # the square's dual list without (0, -1)
+        ]
+        for prim, dual, side in cases:
+            with pytest.raises(InvalidDescriptor, match=f"{side} extremes not closed under negation"):
+                SpaceDescriptor(field=REAL, dim=len(prim[0]), norm=Polyhedral(prim, dual))
 
 
 class TestJsonRoundtrip:
