@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidDescriptor
 
 LP_TOL = 1e-9  # bound on the scaled L1 residual and on the re-substitution error
 ACTIVE_TOL = 1e-12  # gradient and coefficient threshold of the active set
@@ -35,6 +35,8 @@ class HullProblem:
             raise DimensionMismatch("need at least one point")
         if pts.shape[1] != tgt.shape[0]:
             raise DimensionMismatch("points and target dimensions differ")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(tgt))):
+            raise InvalidDescriptor("hull points and target must be finite")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "target", tgt)
 

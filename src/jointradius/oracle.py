@@ -145,8 +145,8 @@ def fd_gateaux(
     seed: int = 0,
 ) -> float:
     """One-sided finite-difference quotient of the radius at T toward S."""
-    if not (0 < t <= 1e-2):
-        raise ValueError("step must satisfy 0 < t <= 1e-2")
+    if not (0 < t <= 1e-2) or side not in (PLUS, MINUS):
+        raise ValueError(f"need a step 0 < t <= 1e-2 and side {PLUS!r} or {MINUS!r}, got t={t!r}, side={side!r}")
     signed = t if side == PLUS else -t
     w0 = radius(T, space, starts=starts, seed=seed).value
     w1 = radius(T + S.scaled(signed), space, starts=starts, seed=seed).value

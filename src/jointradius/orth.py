@@ -3,7 +3,8 @@
 T is orthogonal to the scaling family of S (or to a tuple subspace V) exactly
 when zero is a convex combination of the per-orbit rows: each orbit's
 generator on the direction stack of `_admit` (S's slot tuples
-(0, ..., S_i, ..., 0), or V's basis), by `subdiff.evaluate`.  At one orbit (a
+(0, ..., S_i, ..., 0), or V's basis), by `subdiff.evaluate` before its power-of-two
+scale-back, which cannot change the verdict.  At one orbit (a
 smooth T) this is James's rule (Trans. AMS 61, 1947): orthogonal iff the
 unique support functional f vanishes on every direction, decided without the
 LP.  Feasible weights form the certificate; on non-exhaustive attaining sets
@@ -12,6 +13,7 @@ the verdict is approximate because missed orbits can flip an infeasible LP.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,7 @@ from .lp import LP_TOL, HullProblem, hull_membership
 from .optuples import OperatorTuple
 from .radius import RadiusResult
 from .spaces import SpaceDescriptor
-from .subdiff import _table, evaluate
+from .subdiff import _ldexp, _rows, _table
 
 DEPENDENT_TOL = 1e-10
 WEIGHT_SUM_TOL = 1e-10
@@ -67,21 +69,23 @@ def _admit(T: OperatorTuple, direction) -> np.ndarray:
     return B
 
 
-def _points(T: OperatorTuple, B: np.ndarray, rr: RadiusResult) -> np.ndarray:
-    """Row k is f_k on the direction stack B of `_admit`, split into [Re | Im] on complex data."""
-    rows = evaluate(_table(T, rr), B)  # complex exactly on complex-field data
-    return np.hstack([rows.real, rows.imag]) if np.iscomplexobj(rows) else rows
+def _points(T: OperatorTuple, B: np.ndarray, rr: RadiusResult):
+    """(P, k): row j of P 2^k is f_j on the direction stack B of `_admit`, split into [Re | Im]
+    on complex data.  The verdict does not change when B is scaled, so it is decided on P."""
+    rows, k = _rows(_table(T, rr), B)  # complex exactly on complex-field data
+    return (np.hstack([rows.real, rows.imag]) if np.iscomplexobj(rows) else rows), k
 
 
-def _certificate(points: np.ndarray, w: np.ndarray) -> OrthCertificate:
-    """The certificate of the weight vector w; its residual is max |points^T w|."""
+def _certificate(points: np.ndarray, w: np.ndarray, k: int) -> OrthCertificate:
+    """The certificate of the weight vector w; its residual is max |points^T w| 2^k."""
     weights = tuple((j, float(t)) for j, t in enumerate(w) if t > 0)
-    return OrthCertificate(weights=weights, residual=float(np.max(np.abs(points.T @ w))))
+    return OrthCertificate(weights=weights, residual=float(_ldexp(np.abs(points.T @ w), k).max()))
 
 
-def _decide(points: np.ndarray, rr: RadiusResult, ref: float) -> OrthResult:
+def _decide(points: np.ndarray, k: int, rr: RadiusResult, ref: float) -> OrthResult:
+    """The verdict on the rows points 2^k; ref is max|B|."""
     scale = float(np.max(np.abs(points)))
-    if scale <= LP_TOL * ref:
+    if scale <= LP_TOL * math.ldexp(ref, -k):
         # every constraint vanishes at the data's natural scale: orthogonal, weight 1 on row 0
         w = np.eye(1, len(points))[0]
     elif len(points) == 1 and np.isfinite(scale):
@@ -89,13 +93,13 @@ def _decide(points: np.ndarray, rr: RadiusResult, ref: float) -> OrthResult:
         w = None
     else:
         w = hull_membership(HullProblem(points=points / scale, target=np.zeros(points.shape[1]))).weights
-    cert = None if w is None else _certificate(points, w)
+    cert = None if w is None else _certificate(points, w, k)
     return OrthResult(orthogonal=cert is not None, approximate=not rr.exhaustive, certificate=cert)
 
 
 def _orth(T: OperatorTuple, direction, rr: RadiusResult) -> OrthResult:
     B = _admit(T, direction)
-    return _decide(_points(T, B, rr), rr, float(np.max(np.abs(B))))
+    return _decide(*_points(T, B, rr), rr, float(np.max(np.abs(B))))
 
 
 def orth_scalar(T: OperatorTuple, S: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult) -> OrthResult:
@@ -122,10 +126,10 @@ def verify_certificate(
         raise InvalidCertificate(f"certificate weights sum to {total}, expected 1")
     if any(t <= 0 for _, t in cert.weights):
         raise InvalidCertificate("certificate weights must be strictly positive")
-    points = _points(T, _admit(T, direction), rr)
+    points, k = _points(T, _admit(T, direction), rr)
     w = np.zeros(len(points))
     for j, t in cert.weights:
         if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j < len(w):
             raise InvalidCertificate(f"stale orbit index {j!r}")
         w[j] += t
-    return _certificate(points, w).residual
+    return _certificate(points, w, k).residual

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, Unsupported, ZeroRadius
-from .optuples import OperatorTuple, aggregate
+from .optuples import OperatorTuple, aggregate, pair_images
 from .spaces import (
     COMPLEX,
     ENTRY_BUDGET,
@@ -191,7 +191,7 @@ def radius_exact(
     if T.d * len(D) * len(P) > ENTRY_BUDGET:  # W, refused before it is formed; its gather is no larger
         raise Unsupported(f"the {T.d} x {len(D)} x {len(P)} scores exceed the entry budget {ENTRY_BUDGET}")
     stand, scored_primal, at = pairs.scoring  # each orbit's lower pair is scored for the orbit
-    W = D @ T.matrices @ scored_primal.T  # W[i, j, k] = d_j(T_i p_k); the extremes are real
+    W = D @ T.matrices @ scored_primal.T  # W[i, j, k] = d_j(T_i p_k), real: one BLAS product, not pair_images
     vals = lp_norm_rows(np.take(W.reshape(T.d, -1), at, axis=1).T, T.p)  # np.take: ~4x a fancy index
     # Both this pass and aggregate form z_i = x*(T_i x) from two length-n dot
     # products, in different orders, so each is within 2 n eps S of the exact
@@ -237,11 +237,6 @@ class _Evaluation(NamedTuple):
             mine[idx] = theirs
 
 
-# The stacked products below are written in the forms that give each row
-# the floats of the one-vector product it replaces (M @ x, Y @ s, s @ M,
-# zp @ A, np.vdot); M @ X.T and einsum round differently.
-
-
 def _real_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Re np.vdot(u, v) for each pair of rows."""
     return (_conj(U)[:, None, :] @ V[:, :, None])[:, 0, 0].real
@@ -252,8 +247,7 @@ def _objective(T: OperatorTuple, r: float, X: np.ndarray) -> _Evaluation:
     a = np.abs(X)
     pw2 = _off_tiny(a, lambda a: a ** (r - 2.0), a)
     s = _conj(X) * pw2  # the floats of _signed_power(x, r - 2)
-    Y = np.matmul(T.matrices, X[:, None, :, None])[..., 0]
-    z = (Y @ s[:, :, None])[..., 0]
+    Y, z = pair_images(T.matrices, X, s)
     return _Evaluation(lp_norm_rows(z, T.p), X, a, pw2, s, Y, z)
 
 

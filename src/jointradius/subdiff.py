@@ -6,18 +6,20 @@ one per attaining unimodular orbit (orbit-mates induce the same
 functional).  `_table` stacks them as (X, XS, alpha): the orbit
 representatives and their coefficient rows, built once per radius result
 and tuple object and kept, read-only, on the result.  `evaluate` applies it to
-a whole (m, d, n, n) stack of direction tuples in one pass (the derivative
-range, the orthogonality rows); only `generators` makes `SubdiffGenerator`s.
+a whole (m, d, n, n) stack of direction tuples, scaled by a power of two (the
+derivative range, the orthogonality rows); only `generators` makes
+`SubdiffGenerator`s.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .optuples import OperatorTuple, coefficient_rows, warn_unless_attaining
+from .optuples import OperatorTuple, coefficient_rows, pair_images, warn_unless_attaining
 from .radius import RadiusResult, _require_positive
 from .spaces import NormingPair, SpaceDescriptor
 
@@ -79,13 +81,26 @@ def generators(T: OperatorTuple, space: SpaceDescriptor, rr: RadiusResult):
     return [SubdiffGenerator(pair=orb.representative, alpha=a) for orb, a in zip(orbits, alpha)]
 
 
+def _ldexp(A: np.ndarray, k: int) -> np.ndarray:
+    """A 2^k: exact in the float range, inf past it (unwarned); Re and Im apart, so no zero flips its sign."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.ascontiguousarray(A).view(float), k).view(A.dtype)
+
+
+def _rows(table, B: np.ndarray):
+    """(R, k): `evaluate`'s matrix times 2^-k, formed on B 2^-k, k the binary exponent of max|B|: no B x overflows."""
+    X, XS, alpha = table
+    F = np.ascontiguousarray(B).view(float)  # Re and Im apart, as in `_ldexp`; scaled, each lies below 1
+    k = math.frexp(np.abs(F).max(initial=0.0))[1]
+    z = pair_images(np.ldexp(F, -k).view(B.dtype), X[:, None], np.conj(XS)[:, None])[1]  # z[g, j, i] = x_g*(B_ji x_g)
+    return np.sum(alpha[:, None, :] * z, axis=2), k
+
+
 def evaluate(table, B: np.ndarray) -> np.ndarray:
     """Matrix of f_k(B_j) = sum_i alpha_ki x_k*(B_ji x_k), one row per generator
     f_k of the table (X, XS, alpha) and one column per tuple B_j of the
-    (m, d, n, n) direction stack B, all in one array pass."""
-    X, XS, alpha = table
-    Y = np.matmul(B, X[:, None, None, :, None])[..., 0]  # Y[k, j, i] = B_ji x_k
-    return np.sum(alpha[:, None, :] * (Y @ np.conj(XS)[:, None, :, None])[..., 0], axis=2)
+    (m, d, n, n) direction stack B."""
+    return _ldexp(*_rows(table, B))
 
 
 def apply(gen: SubdiffGenerator, S: OperatorTuple):

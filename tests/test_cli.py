@@ -5,6 +5,7 @@ import os
 import re
 import shlex
 
+import numpy as np
 import pytest
 
 import jointradius.oracle
@@ -347,6 +348,37 @@ class TestScale:
         data = json.loads(out)
         assert data["passed"]
         assert 0.9 * data["value"] <= data["sampled_radius"] <= data["value"]
+
+    def test_huge_against_takes_the_verdict_of_the_scaled_tuple(self, capfd, tmp_path):
+        # capfd, not capsys: LAPACK writes its errors to file descriptor 1
+        code, out, err = run(capfd, "orth", prob("huge_against.json"))
+        assert (code, err) == (0, "") and out.count("\n") == 1
+        data = json.loads(out)
+        with open(prob("huge_against.json"), encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj["against"]["matrices"] = [[[v * 2.0**-1000 for v in row] for row in M] for M in obj["against"]["matrices"]]
+        code, out, err = run(capfd, "orth", write_problem(tmp_path, obj))
+        assert (code, err) == (0, "")
+        small = json.loads(out)
+        assert data["orthogonal"] and small["orthogonal"]
+        assert data["certificate"]["weights"] == small["certificate"]["weights"]
+
+    def test_huge_subspace_basis(self, capfd, tmp_path):
+        with open(prob("huge_against.json"), encoding="utf-8") as fh:
+            obj = json.load(fh)
+        S = obj.pop("against")
+        obj["subspace"] = [S, {**S, "matrices": [np.transpose(M).tolist() for M in S["matrices"]]}]
+        code, out, err = run(capfd, "orth", write_problem(tmp_path, obj))
+        assert (code, err) == (0, "") and json.loads(out)["orthogonal"]
+
+    def test_huge_direction_gateaux_is_one_error_line(self, capfd, tmp_path):
+        # two of the four c-values are +-2e308: past the float range, so the output is refused
+        with open(prob("huge_against.json"), encoding="utf-8") as fh:
+            direction = json.load(fh)["against"]
+        path = write_problem(tmp_path, direction, "direction.json")
+        code, out, err = run(capfd, "gateaux", prob("huge_against.json"), "--direction", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error")  # a numpy overflow warning would be an extra stderr line

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from jointradius import DimensionMismatch, HullProblem, hull_membership
+from jointradius import DimensionMismatch, HullProblem, InvalidDescriptor, hull_membership
 
 SQUARE = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
 
@@ -109,6 +109,23 @@ class TestValidation:
     def test_no_points(self):
         with pytest.raises(DimensionMismatch, match="at least one point"):
             HullProblem(points=np.empty((0, 2)), target=(0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "points, target",
+        [
+            ([[np.nan, 0.0], [1.0, 1.0]], [0.0, 0.0]),
+            ([[1.0, 0.0], [1.0, 1.0]], [np.nan, 0.0]),
+            ([[np.inf, 0.0], [1.0, 1.0]], [0.0, 0.0]),
+            ([[1.0, 0.0], [-np.inf, 1.0]], [0.0, 0.0]),
+            ([[1.0, 0.0], [1.0, 1.0]], [0.0, np.inf]),
+        ],
+        ids=["nan-point", "nan-target", "inf-point", "minus-inf-point", "inf-target"],
+    )
+    def test_non_finite_refused_before_any_solve(self, capfd, points, target):
+        # capfd, not capsys: LAPACK writes its errors to file descriptor 1
+        with pytest.raises(InvalidDescriptor, match="must be finite"):
+            hull_membership(HullProblem(points=points, target=target))
+        assert capfd.readouterr() == ("", "")
 
 
 

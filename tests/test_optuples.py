@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -11,7 +12,11 @@ from jointradius import (
     InvalidDescriptor,
     NormingPair,
     OperatorTuple,
+    TupleSubspace,
     aggregate,
+    gateaux_one_sided,
+    generators,
+    orth_subspace,
     pair_image,
     radius_exact,
     radius_smooth,
@@ -21,6 +26,7 @@ from jointradius import (
     tuple_from_json,
     tuple_to_json,
 )
+from jointradius.optuples import pair_images
 from jointradius.spaces import lp_norm
 from conftest import hilbert, linf, single
 
@@ -136,6 +142,68 @@ class TestPairImage:
             aggregate(T, pair)
         with pytest.raises(DimensionMismatch):
             subdiff_coefficients(T, pair, w=1.0)
+
+
+class TestPairImages:
+    """`pair_images` is the one stacked body of x*(M_i x); each entry has the floats of the one-vector call."""
+
+    @staticmethod
+    def _one_vector(M, X, C):
+        # X's and C's leading axes broadcast against M's stack axes; each (tuple, vector) is one call of
+        # `pair_image`'s expression (M @ x) @ c.  Per-operator dots (M_i @ x) @ c round differently at d > 1.
+        batch = np.broadcast_shapes(X.shape[:-1], C.shape[:-1], M.shape[:-3])
+        Ms, Xs, Cs = (np.broadcast_to(a, batch + a.shape[a.ndim - k :]) for a, k in ((M, 3), (X, 1), (C, 1)))
+        Y = np.empty(batch + M.shape[-3:-1], dtype=np.result_type(M, X))
+        z = np.empty(batch + M.shape[-3:-2], dtype=np.result_type(M, X, C))
+        for idx in np.ndindex(*batch):
+            Y[idx] = Ms[idx] @ Xs[idx]
+            z[idx] = Y[idx] @ Cs[idx]
+        return Y, z
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 9])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("shape", [(), (5,), (5, 1)], ids=["1-D", "k-n", "k-1-n"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["tuple", "stack"])
+    def test_entries_are_the_one_vector_products(self, rng, field, n, d, shape, stacked):
+        def draw(*dims):
+            a = rng.standard_normal(dims)
+            return a + 1j * rng.standard_normal(dims) if field == COMPLEX else a
+
+        # a stack of 5 tuples: (k, n) rows pair with tuples one to one, (k, 1, n) rows with every tuple
+        M = draw(5, d, n, n) if stacked else draw(d, n, n)
+        X, C = draw(*shape, n), draw(*shape, n)
+        Y, z = pair_images(M, X, C)
+        want_Y, want_z = self._one_vector(M, X, C)
+        assert Y.shape == want_Y.shape and z.shape == want_z.shape
+        assert Y.tobytes() == want_Y.tobytes()
+        assert z.tobytes() == want_z.tobytes()
+
+    def test_one_body_reaches_every_caller(self, monkeypatch):
+        # the coefficient table, the ascent and direction evaluation all form the pair image in `pair_images`
+        import jointradius.optuples as optuples_module
+        import jointradius.subdiff as subdiff_module
+
+        radius_module = sys.modules["jointradius.radius"]  # the function `jointradius.radius` shadows the module
+        calls = []
+        for module in (optuples_module, radius_module, subdiff_module):
+            assert module.pair_images is pair_images  # no module keeps a body of its own
+            monkeypatch.setattr(
+                module, "pair_images", lambda *args, _name=module.__name__: calls.append(_name) or pair_images(*args)
+            )
+        T = OperatorTuple((np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])), p=3.0)
+        sp = hilbert(2, field=REAL)
+        rr = radius_smooth(T, sp, starts=2, seed=0)
+        assert "jointradius.radius" in calls
+        S = OperatorTuple((np.eye(2), np.diag([1.0, 2.0])), p=3.0)
+        for call, module in (
+            (lambda: generators(T, sp, rr), "jointradius.optuples"),
+            (lambda: gateaux_one_sided(T, S, sp, rr), "jointradius.subdiff"),
+            (lambda: orth_subspace(T, TupleSubspace((S,)), sp, rr), "jointradius.subdiff"),
+        ):
+            calls.clear()
+            call()
+            assert module in calls
 
 
 class TestAggregate:

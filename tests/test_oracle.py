@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,14 @@ class TestFdGateaux:
             fd_gateaux(T, T, sp, t=0.0)
         with pytest.raises(ValueError):
             fd_gateaux(T, T, sp, t=0.5)
+
+    @pytest.mark.parametrize("side", ["plsu", "", None, "PLUS"])
+    def test_side_validation(self, side):
+        # any side but PLUS or MINUS is refused, not taken as the left quotient
+        sp = linf(2)
+        T = single(np.diag([1.0, -1.0]))
+        with pytest.raises(ValueError, match=re.escape(f"side={side!r}")):
+            fd_gateaux(T, single(np.eye(2)), sp, t=1e-5, side=side)
 
 
 class TestLambdaSweep:

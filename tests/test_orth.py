@@ -329,12 +329,12 @@ class TestOnePassRows:
             rr = radius_exact(T, sp) if field == REAL else radius_smooth(T, sp, starts=4, seed=0)
             S = random_tuple(d, 3, field, 3.0, rng)
             X, XS, alpha = _table(T, rr)
-            rows = alpha * pair_images(S, X, XS)
+            rows = alpha * pair_images(S.matrices, X, np.conj(XS))[1]
             want = np.hstack([rows.real, rows.imag]) if field == COMPLEX else rows
-            got = _points(T, _admit(T, S), rr)
+            got, k = _points(T, _admit(T, S), rr)  # rows times 2^-k; a power of two scales them exactly
             assert got.flags.c_contiguous
             assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+            assert np.ldexp(got, k).tobytes() == want.tobytes()
 
 
 class TestOneOrbitRule:
@@ -356,7 +356,7 @@ class TestOneOrbitRule:
     )
     def test_nonzero_row_is_not_orthogonal(self, rr, row):
         points = np.array([row])
-        res = _decide(points, rr, 1.0)
+        res = _decide(points, 0, rr, 1.0)
         assert not res.orthogonal
         assert res.certificate is None
         assert res.approximate == (not rr.exhaustive)
@@ -365,7 +365,7 @@ class TestOneOrbitRule:
 
     @pytest.mark.parametrize("points", [[[1e-12, -3e-12]], [[0.0, 0.0, 0.0]], np.zeros((3, 2))])
     def test_vanishing_rows_are_orthogonal(self, rr, points):
-        res = _decide(np.array(points), rr, 1.0)
+        res = _decide(np.array(points), 0, rr, 1.0)
         assert res.orthogonal
         assert res.certificate.weights == ((0, 1.0),)
         assert res.certificate.residual == float(np.max(np.abs(np.array(points)[0])))

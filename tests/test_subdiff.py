@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -17,11 +18,13 @@ from jointradius import (
     gateaux_one_sided,
     generators,
     orth_scalar,
+    orth_subspace,
     radius,
     radius_exact,
     radius_smooth,
     random_tuple,
     smoothness,
+    verify_certificate,
 )
 from jointradius.oracle import MINUS, PLUS
 from jointradius.orth import _admit
@@ -229,6 +232,49 @@ class TestGeneratorTable:
         for k, g in enumerate(generators(T, sp, rr)):
             row = evaluate([a[k : k + 1] for a in table], B)[0]
             assert [apply(g, S) for S in dirs] == row.tolist() == stacked[k].tolist()
+
+
+@pytest.mark.filterwarnings("error")  # an overflow in B x would warn
+class TestHugeDirections:
+    """Directions near the float limit: `evaluate` runs on B 2^-k, k the binary exponent of max|B|."""
+
+    HUGE = [[1e308, 1e308], [-1e308, 1e308]]  # S x overflows at two of the four orbits of diag(1, -1)
+
+    @pytest.fixture
+    def problem(self):
+        sp, T = linf(2), single(np.diag([1.0, -1.0]))
+        return T, sp, radius_exact(T, sp), single(self.HUGE)
+
+    def test_power_of_two_scalings_move_no_float(self, rng):
+        T, sp, rr, _ = _orbit_problems()[5]
+        table, B = _table(T, rr), random_tuple(2, 3, COMPLEX, 2.0, rng).matrices[None]
+        rows = evaluate(table, B).tolist()
+        for j in (-1000, -3, 3, 1000):
+            assert evaluate(table, B * 2.0**j).tolist() == [[v * 2.0**j for v in row] for row in rows]
+
+    def test_rows_past_the_float_range_are_infinite(self, problem):
+        T, sp, rr, S = problem
+        table = _table(T, rr)
+        small = evaluate(table, S.matrices[None] * 2.0**-1000)
+        assert np.all(np.isfinite(small)) and np.count_nonzero(small) == 2
+        assert evaluate(table, S.matrices[None]).tolist() == [[v * 2.0**1000 for v in row] for row in small.tolist()]
+        assert sorted(gateaux_one_sided(T, S, sp, rr).c_values) == [-math.inf, 0.0, 0.0, math.inf]
+
+    @pytest.mark.parametrize("subspace", [False, True], ids=["against", "basis"])
+    def test_orth_takes_the_verdict_of_the_scaled_direction(self, problem, subspace):
+        T, sp, rr, S = problem
+        tiny = 2.0**-1000
+        if subspace:  # a two-tuple basis of the same size
+            other = single(np.array(self.HUGE).T)
+            huge, small = TupleSubspace((S, other)), TupleSubspace((S.scaled(tiny), other.scaled(tiny)))
+        else:
+            huge, small = S, S.scaled(tiny)
+        orth = orth_subspace if subspace else orth_scalar
+        got, want = orth(T, huge, sp, rr), orth(T, small, sp, rr)
+        assert got.orthogonal and want.orthogonal
+        assert got.certificate.weights == want.certificate.weights
+        assert got.certificate.residual == want.certificate.residual / tiny
+        assert verify_certificate(got.certificate, T, huge, sp, rr) == got.certificate.residual
 
 
 class TestApply:
