@@ -104,16 +104,16 @@ def coefficient_rows(T: OperatorTuple, X: np.ndarray, XS: np.ndarray, w: float):
     (X[k], XS[k]), alpha_i = conj(z_i)|z_i|^(p-2) / w^(p-1) with z = (x*(T_i x))_i.
 
     attains is False when some pair's l_p value is more than ATTAINING_TOL * w
-    from w, that is, when it does not attain the radius w; callers pass it to
-    `warn_unless_attaining`.  The test runs on z / w, whose l_p norm is near 1
-    at any scale of T.
+    from w (or NaN), that is, when it does not attain the radius w; callers pass
+    it to `warn_unless_attaining`.  The test runs on z / w, whose l_p norm is
+    near 1 at any scale of T.
     """
-    if w <= 0:
-        raise ValueError("subdifferential coefficients need w > 0")
+    if not 0 < w < math.inf:  # NaN fails too
+        raise ValueError(f"subdifferential coefficients need a finite w > 0, got {w!r}")
     if X.shape[1:] != (T.n,) or XS.shape != X.shape:
         raise DimensionMismatch("pair dimension does not match the tuple")
     Zw = pair_images(T.matrices, X, np.conj(XS))[1] / w
-    attains = not np.any(np.abs(lp_norm_rows(Zw, T.p) - 1.0) > ATTAINING_TOL)
+    attains = bool(np.all(np.abs(lp_norm_rows(Zw, T.p) - 1.0) <= ATTAINING_TOL))
     return _signed_power(Zw, T.p - 2.0), attains  # equals conj(z)|z|^(p-2) / w^(p-1)
 
 
@@ -132,6 +132,8 @@ def subdiff_coefficients(T: OperatorTuple, pair: NormingPair, w: float) -> np.nd
 def rank_one_tuple(space: SpaceDescriptor, pair: NormingPair, alpha, p: float = 2.0) -> OperatorTuple:
     """Tuple T_i = conj(a_i)|a_i|^(q-2) (x*(.) x); its joint radius is 1."""
     a = np.asarray(alpha)
+    if not np.all(np.isfinite(a)) or (space.field == REAL and np.any(np.imag(a) != 0)):
+        raise InvalidDescriptor(f"alpha must be finite, and real on a real space, got {alpha!r}")
     if np.all(a == 0):
         raise ValueError("alpha must be nonzero")
     # base operator z -> x*(z) x; under the conjugation convention this is

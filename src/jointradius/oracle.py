@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatch, Unsupported
 from .optuples import OperatorTuple, tuple_combine
 from .radius import DEFAULT_STARTS, RadiusResult, radius
-from .spaces import COMPLEX, REAL, LpNorm, Polyhedral, SpaceDescriptor
+from .spaces import COMPLEX, REAL, LpNorm, Polyhedral, SpaceDescriptor, _check_counts
 
 PLUS = "plus"
 MINUS = "minus"
@@ -106,8 +106,7 @@ def sampled_radius(
     T: OperatorTuple, space: SpaceDescriptor, samples: int = 10_000, seed: int = 0
 ) -> float:
     """Max of the radius objective over seeded random norming pairs."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_counts(seed, samples=samples)
     if T.n != space.dim:  # checked here, not through the solver, to keep the oracle independent
         raise DimensionMismatch(f"space dimension {space.dim} does not match operator dimension {T.n}")
     rng = np.random.default_rng(seed)
@@ -188,8 +187,10 @@ def lambda_sweep(
 
     lambda = 0 is always on the grid, so min_value <= w_p(T) holds exactly.
     """
-    if radii is None:
-        radii = np.logspace(-3, 1, 20)
+    _check_counts(seed, directions=directions, starts=starts)
+    radii = np.logspace(-3, 1, 20) if radii is None else np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or not radii.size or not np.all((radii > 0) & (radii < math.inf)):
+        raise ValueError(f"radii must be a non-empty list of finite numbers > 0, got {radii!r}")
     rng = np.random.default_rng(seed)
     dirs = _sweep_directions(T.d, space.field, directions, rng)
     zero = np.zeros(T.d)
@@ -235,8 +236,7 @@ def audit(
     values come from `_generator_values`, not from `subdiff.evaluate`, so a
     fault in the solver's stacked formula cannot pass its own audit.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_counts(seed, trials=trials, starts=starts, samples=samples)
     rng = np.random.default_rng(seed)
     checks = []
 

@@ -25,7 +25,6 @@ the passing candidates is the new state; only other rounds scatter.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -40,6 +39,7 @@ from .spaces import (
     AdmissiblePairs,
     NormingPair,
     SpaceDescriptor,
+    _check_counts,
     _conj,
     _gaussian,
     _off_tiny,
@@ -152,17 +152,6 @@ def _check_tuple(T: OperatorTuple, space: SpaceDescriptor) -> None:
         raise DimensionMismatch(f"space dimension {space.dim} does not match operator dimension {T.n}")
     if T.field == COMPLEX and space.field != COMPLEX:
         raise Unsupported("a real space requires a real tuple")
-
-
-def _check_multistart(starts: int, seed: int) -> None:
-    """Reject a start count below 1, a negative seed, and either one not an integer (bools included)."""
-    for name, v in (("starts", starts), ("seed", seed)):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _result(values, pairs, method: str, T: OperatorTuple, attain_tol: float) -> RadiusResult:
@@ -295,10 +284,11 @@ def _ascend_all(T: OperatorTuple, space: SpaceDescriptor, X0: np.ndarray, rngs):
     - A backtracking pass evaluates its m pending rows at s, s/2, s/4 and
       s/8 at once (candidate h m + q is row q at s/2^h), and each row takes
       its first that passes the Armijo test: the point a halving loop
-      accepts.  If every live row passes in the first pass, the round ends
-      in one gather of the passing candidates (none if each takes s: then
-      candidates 0..m-1 are its rows).  Otherwise passing rows are scattered
-      into the state and the rest search again from s/16 or restart.
+      accepts.  A round ends in one of two ways: if every live row passes
+      in the first pass, one take of the passing candidates (views of
+      candidates 0..m-1 when each takes s) is the new state; otherwise the
+      passing rows are scattered into the state, and the rest search again
+      from s/16 or, once the step falls below MIN_STEP, restart.
     - iters[j] counts the gradients of row j, one per round it is live.
     """
     r = space.norm.r
@@ -329,15 +319,9 @@ def _ascend_all(T: OperatorTuple, space: SpaceDescriptor, X0: np.ndarray, rngs):
             ok = cand.value.reshape(4, m) >= f + 0.3 * steps * g2
             ok &= steps >= MIN_STEP
             # a gain below 1e-15 f (f >= 0) is rounding; a null step (cand == x) gains 0
-            if whole and ok[0].all():  # every row takes its s: the first m candidates, ungathered
-                c, step = slice(m), s
-            elif whole and ok.any(axis=0).all():  # every row passes in this pass: one gather
-                c = ok.argmax(axis=0) * m + todo
-                step = steps.ravel()[c]
-            else:
-                c = None
-            if c is not None:  # the round ends with no scatter and nothing to restart
-                ev = cand.take(c)
+            if whole and ((first := ok[0].all()) or ok.any(axis=0).all()):  # no scatter, nothing to restart
+                c = slice(m) if first else ok.argmax(axis=0) * m + todo  # all at s: the first m, as views
+                ev, step = cand.take(c), steps.ravel()[c]  # _HALVINGS[0] is 1.0, so at s the step is s
                 stalls = np.where(ev.value - f <= 1e-15 * f, stalls + 1, 0)
                 break
             whole, hit = False, ok.any(axis=0)
@@ -360,10 +344,7 @@ def _ascend_all(T: OperatorTuple, space: SpaceDescriptor, X0: np.ndarray, rngs):
                 restarts[again] += 1
                 stalls[again] = 0
                 step[again] = 1.0
-        if rounds == MAX_ITER:
-            stop[:] = True
-        else:
-            stop |= stalls == 3
+        stop |= (stalls == 3) | (rounds == MAX_ITER)
         if stop.any():
             values[ids[stop]], X[ids[stop]], iters[ids[stop]] = ev.value[stop], ev.x[stop], rounds
             keep = ~stop
@@ -393,19 +374,18 @@ def radius_smooth(
     _check_tuple(T, space)
     if not space.is_smooth_lp:
         raise Unsupported("radius_smooth requires an l_r space with 1 < r < inf")
-    _check_multistart(starts, seed)
+    _check_counts(seed, starts=starts)
     _check_attain_tol(attain_tol)
     # the ascent's step cap and stop test are not scale-free, so it runs on
     # T / max|T_ij| (a division: 1/m overflows for subnormal m)
     m = T.max_entry() or 1.0
     unit = OperatorTuple(T.matrices / m, p=T.p, field=T.field)
-    r = space.norm.r
     values, pairs = [], []
     for lo in range(0, starts, DEFAULT_STARTS):
         rngs = [np.random.default_rng([seed, k]) for k in range(lo, min(lo + DEFAULT_STARTS, starts))]
         vals, X, _ = _ascend_all(unit, space, np.array([random_unit_vector(space, g) for g in rngs]), rngs)
         values += [m * v for v in vals.tolist()]
-        pairs += [NormingPair(x, smooth_duality_vector(x, r)) for x in X]
+        pairs += [NormingPair(x, xs) for x, xs in zip(X, smooth_duality_vector(X, space.norm.r))]
     return _result(values, pairs, MULTI_START, T, attain_tol)
 
 
@@ -421,7 +401,7 @@ def radius(
     attain_tol=None keeps each method's own default attaining tolerance.
     starts and seed are checked on both methods.
     """
-    _check_multistart(starts, seed)
+    _check_counts(seed, starts=starts)
     tol = {} if attain_tol is None else {"attain_tol": attain_tol}
     if space.is_smooth_lp:
         return radius_smooth(T, space, starts=starts, seed=seed, **tol)

@@ -435,8 +435,7 @@ def random_unit_vector(space: SpaceDescriptor, rng: np.random.Generator) -> np.n
 
 def sample_pairs(space: SpaceDescriptor, count: int, seed: int) -> list[NormingPair]:
     """Seeded random norming pairs; x* chosen uniformly among the duality map."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_counts(seed, count=count)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -468,6 +467,15 @@ def _number(v, what: str) -> float:
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise InvalidDescriptor(f"{what} must be a number, got {v!r}")
     return float(v)
+
+
+def _check_counts(seed, **counts) -> None:
+    """Refuse a seed below 0, a count below 1, and either one not an integer (bools included), naming the argument."""
+    for name, v, least in (("seed", seed, 0), *((name, v, 1) for name, v in counts.items())):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+        if v < least:
+            raise ValueError(f"{name} must be >= {least}, got {v}")
 
 
 def _json_int(v, what: str) -> int:

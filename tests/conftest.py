@@ -35,6 +35,13 @@ def single(M, p: float = 2.0, field: str = REAL) -> OperatorTuple:
     return OperatorTuple((np.asarray(M),), p=p, field=field)
 
 
+def bad_counts(*counts):
+    """One keyword argument per case that a count (>= 1) or the seed (>= 0) refuses: a value too
+    small, a float (integral or not), a bool and a string; the matching error names the argument."""
+    bad = {name: [0, -3, 2.5, 2.0, True, "2"] for name in counts} | {"seed": [-1, 1.5, 0.0, False]}
+    return [pytest.param({name: v}, id=f"{name}={v!r}") for name, values in bad.items() for v in values]
+
+
 def random_polygon_space(rng: np.random.Generator, vertices: int = 4) -> SpaceDescriptor:
     """Random symmetric polygon in the plane with its exact dual polygon.
 

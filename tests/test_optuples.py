@@ -270,6 +270,19 @@ class TestSubdiffCoefficients:
         with pytest.raises(ValueError):
             subdiff_coefficients(single(np.eye(2)), _pair([1.0, 0.0]), w=0.0)
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_a_w_that_is_not_finite_and_positive(self, w):
+        # a NaN w passes `w <= 0` and would return alpha = 0 with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite w > 0"):
+                subdiff_coefficients(single(np.diag([1.0, -1.0])), _pair([1.0, 0.0]), w=w)
+
+    @pytest.mark.parametrize("x, x_star", [([1.0, 0.0], [math.nan, 0.0]), ([1.0, math.nan], [1.0, 0.0])])
+    def test_nan_pair_does_not_attain(self, x, x_star):
+        with pytest.warns(UserWarning, match="does not attain"):
+            subdiff_coefficients(single(np.diag([1.0, -1.0])), _pair(x, x_star), w=1.0)
+
 
 class TestRankOneTuple:
     def test_hilbert_basis_pair(self):
@@ -295,6 +308,26 @@ class TestRankOneTuple:
     def test_zero_alpha_rejected(self):
         with pytest.raises(ValueError):
             rank_one_tuple(hilbert(2, REAL), _pair([1.0, 0.0]), np.array([0.0]))
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("alpha", [[math.nan], [math.inf], [1.0, -math.inf], [complex(1.0, math.nan)]])
+    def test_non_finite_alpha_rejected(self, field, alpha):
+        # NaN once became a zero coefficient, and inf a RuntimeWarning before the tuple check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDescriptor, match="alpha must be finite"):
+                rank_one_tuple(hilbert(2, field), _pair([1.0, 0.0]), np.array(alpha))
+
+    @pytest.mark.parametrize("alpha", [[1j], [1.0, 1e-300j]])
+    def test_complex_alpha_on_a_real_space_rejected(self, alpha):
+        # `.real` once dropped the imaginary part: alpha = [1j] gave the zero tuple
+        with pytest.raises(InvalidDescriptor, match="real on a real space"):
+            rank_one_tuple(hilbert(2, REAL), _pair([1.0, 0.0]), np.array(alpha))
+
+    def test_complex_dtype_with_zero_imaginary_parts_accepted(self):
+        T = rank_one_tuple(hilbert(2, REAL), _pair([1.0, 0.0]), np.array([1.0 + 0j]))
+        assert T.field == REAL
+        np.testing.assert_array_equal(T.matrices[0], np.diag([1.0, 0.0]))
 
 
 class TestTupleCombine:

@@ -24,7 +24,7 @@ from jointradius import (
     sampled_radius,
 )
 from jointradius.oracle import MINUS, PLUS, _batch_unit_vectors
-from conftest import hilbert, linf, lr, single
+from conftest import bad_counts, hilbert, linf, lr, single
 
 
 class TestSampledRadius:
@@ -75,6 +75,13 @@ class TestSampledRadius:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             sampled_radius(single(np.eye(2)), hilbert(2, REAL), samples=0)
+
+    @pytest.mark.parametrize("bad", bad_counts("samples"))
+    def test_rejects_bad_samples_and_seed(self, bad):
+        # 2.5 and True once failed inside numpy with a TypeError
+        (name,) = bad
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            sampled_radius(single(np.eye(2)), hilbert(2, REAL), **bad)
 
     @pytest.mark.parametrize("r", [1.0, float("inf")], ids=["l1", "linf"])
     def test_complex_l1_linf_unsupported(self, r):
@@ -153,6 +160,22 @@ class TestLambdaSweep:
         assert sweep.min_value == pytest.approx(0.0, abs=1e-12)
         assert sweep.argmin[0] == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        bad_counts("directions", "starts")
+        + [pytest.param({"radii": r}, id=f"radii={r!r}") for r in ([], [0.0], [0.1, -0.1], [np.nan], [np.inf], 0.1)],
+    )
+    def test_rejects_bad_arguments_before_any_solve(self, monkeypatch, bad):
+        # directions=0 or radii=[] once solved no lambda != 0 and returned
+        # min_value == value_at_zero, the answer "nothing lowers w"
+        solved = []
+        monkeypatch.setattr(jointradius.oracle, "radius", lambda *args, **kwargs: solved.append(1))
+        T = OperatorTuple((np.eye(2), np.diag([1.0, -1.0])))
+        (name,) = bad
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            lambda_sweep(T, T, linf(2), **({"radii": [0.1]} | bad))
+        assert solved == []
+
 
 class TestRandomTuple:
     def test_shapes_and_field(self, rng):
@@ -194,6 +217,19 @@ class TestAudit:
         rr = radius_exact(T, sp)
         with pytest.raises(ValueError, match="trials"):
             audit(T, sp, rr, generators(T, sp, rr), trials=0)
+
+    @pytest.mark.parametrize("bad", bad_counts("trials", "starts", "samples"))
+    def test_rejects_bad_counts_and_seed_before_sampling(self, monkeypatch, bad):
+        # trials=2.5 once failed inside numpy after the sampling, and trials=True ran one trial
+        sampled = []
+        monkeypatch.setattr(jointradius.oracle, "sampled_radius", lambda *args, **kwargs: sampled.append(1))
+        sp = linf(2)
+        T = single(np.diag([1.0, 0.5]))
+        rr = radius_exact(T, sp)
+        (name,) = bad
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            audit(T, sp, rr, generators(T, sp, rr), **bad)
+        assert sampled == []
 
     def test_each_trial_is_solved_once(self, monkeypatch):
         # identity on real l_inf(3) attains on 12 orbits; their generators share the trials

@@ -54,6 +54,7 @@ from jointradius.spaces import (
     smooth_duality_vector,
 )
 from conftest import (
+    bad_counts,
     extreme_spaces,
     hilbert,
     l1,
@@ -352,6 +353,12 @@ class TestRadiusSmooth:
         with pytest.raises(ValueError, match="seed"):
             radius_smooth(single(np.eye(2)), hilbert(2, REAL), starts=2, seed=-1)
 
+    @pytest.mark.parametrize("bad", bad_counts("starts"))
+    def test_rejects_bad_starts_and_seed(self, bad):
+        (name,) = bad
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            radius_smooth(single(np.eye(2)), hilbert(2, REAL), **bad)
+
     def test_unsupported(self):
         with pytest.raises(Unsupported):
             radius_smooth(single(np.eye(2)), linf(2))
@@ -644,6 +651,15 @@ class TestFusedAscent:
         T = _unit(single(np.diag([2.0, 1.0])))
         iters, _ = _assert_rows_match_unfused(T, lr(2, r), fixed=[[1.0, 0.0]])
         assert iters[0] == 1 and min(iters[1:]) > 1
+
+    def test_zero_gradient_stalls_and_cap_in_one_block(self, monkeypatch):
+        # on diag(2, 1), real l_1.5, row 0 starts at the critical point e_1;
+        # uncapped, the other rows stall in rounds 14 to 21, so a cap of 18
+        # stops two of them there while the rest stall before it
+        monkeypatch.setattr(sys.modules["jointradius.radius"], "MAX_ITER", 18)
+        T = _unit(single(np.diag([2.0, 1.0])))
+        iters, restarts = _assert_rows_match_unfused(T, lr(2, 1.5), fixed=[[1.0, 0.0]])
+        assert iters == [1, 18, 14, 16, 18, 16, 17, 14] and restarts == [0] * 8
 
     def test_matches_unfused_ascent_at_tiny_coordinate(self):
         T = _unit(single([[1.0, 2.0], [3.0, 4.0]]))

@@ -34,6 +34,7 @@ from jointradius import (
 from jointradius import spaces
 from jointradius.spaces import ACTIVE_TOL, DESCRIPTOR_TOL, _PAIR_TABLES, AdmissiblePairs, _negations, lp_norm, lp_norm_rows
 from conftest import (
+    bad_counts,
     cuboctahedron,
     extreme_spaces,
     hilbert,
@@ -573,6 +574,13 @@ class TestSamplePairs:
     def test_rejects_no_pairs(self):
         with pytest.raises(ValueError, match="count must be >= 1"):
             sample_pairs(hilbert(2), 0, seed=0)
+
+    @pytest.mark.parametrize("bad", bad_counts("count"))
+    def test_rejects_bad_count_and_seed(self, bad):
+        # `True` once gave one pair, and 2.5 or a seed of 1.5 failed inside numpy
+        (name,) = bad
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            sample_pairs(hilbert(2), **({"count": 2, "seed": 0} | bad))
 
 
 class TestHolderConsistency:
